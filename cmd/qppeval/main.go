@@ -11,10 +11,9 @@
 // -trace-sample takes an integer stride or a preset ("fine" = 1 in 16,
 // "coarse" = 1 in 1024 for multi-million-access runs).
 //
-// -sim-workers threads the sharded deterministic simulator engine through
-// the suite: 0 (default) keeps the legacy sequential engine byte-identical
-// with previous releases; N >= 1 produces output that is bitwise identical
-// for every N (same seed + any worker count => identical stats and
+// -sim-workers sets how many worker shards every simulation of the suite
+// uses (0, the default, means one). The output is bitwise identical for
+// every count (same seed + any worker count => identical stats and
 // traces), so results are comparable across machines of different widths.
 //
 // Usage:
@@ -71,7 +70,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	only := fs.String("only", "", "run a single experiment by id (e.g. E7)")
 	traceFile := fs.String("trace", "", "write a JSONL telemetry trace (solver spans and counters) to this file")
 	traceOut := fs.String("trace-out", "", "write per-access simulation traces as Chrome trace-event JSON (Perfetto) to this file")
-	traceSample := fs.String("trace-sample", "1", "with -trace-out: record every k-th access only, or a preset: fine (1 in 16), coarse (1 in 1024)")
+	traceSample := fs.String("trace-sample", "1", "with -trace-out: record 1 in k accesses only, or a preset: fine (1 in 16), coarse (1 in 1024)")
 	timeseries := fs.Float64("timeseries", 0, "with -trace-out: sample simulator gauges every this many virtual-time units")
 	stats := fs.Bool("stats", false, "print a telemetry summary table to stderr")
 	metricsAddr := fs.String("metrics-addr", "", "serve live metrics (Prometheus /metrics, JSON /metrics.json) on this address while running")
@@ -82,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	memProfile := fs.String("memprofile", "", "write a heap profile to this file")
 	scaleNodes := fs.Int("scale-nodes", 0, "append an E18 row with this many tree nodes (e.g. 100000 for the headline run)")
 	scaleClients := fs.Int("scale-clients", 0, "append an E18 row with this many raw clients (e.g. 1000000)")
-	simWorkers := fs.Int("sim-workers", 0, "simulator worker shards for the experiment suite; 0 = legacy sequential engine, N >= 1 = deterministic sharded engine (identical output for every N)")
+	simWorkers := fs.Int("sim-workers", 0, "simulator worker count for the experiment suite (0 = 1); output is identical for every count")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

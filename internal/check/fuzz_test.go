@@ -136,13 +136,16 @@ func FuzzLPvsExact(f *testing.F) {
 }
 
 // FuzzRunWithFailures drives the failure-injection simulator with fuzzed
-// knobs (failure probability, retry budget, penalty, mode, run length)
-// packed into one int64, auditing the trace timing and stat identities; the
-// failure-free corner must reproduce netsim.Run exactly, trace for trace.
+// knobs (failure probability, retry budget, penalty, mode, run length and,
+// from bits 32 up, a worker count in 2..5) packed into one int64, auditing
+// the trace timing and stat identities. The sharded run must reproduce the
+// single-worker run bit for bit, and the failure-free corner must reproduce
+// netsim.Run exactly, trace for trace.
 func FuzzRunWithFailures(f *testing.F) {
-	f.Add(int64(4), int64(0))       // failure-free: differential vs Run
-	f.Add(int64(9), int64(207360))  // sequential, p≈0.5, 2 retries, penalty 0.5
-	f.Add(int64(151), int64(18431)) // parallel, certain failure, 1 retry: aborts
+	f.Add(int64(4), int64(0))            // failure-free: differential vs Run
+	f.Add(int64(9), int64(207360))       // sequential, p≈0.5, 2 retries, penalty 0.5
+	f.Add(int64(151), int64(18431))      // parallel, certain failure, 1 retry: aborts
+	f.Add(int64(9), int64(3<<32|207360)) // the retries case over 5 workers
 	f.Fuzz(func(t *testing.T, seed, knobs int64) {
 		ci := Gen(seed)
 		ins := ci.Instance
@@ -168,6 +171,20 @@ func FuzzRunWithFailures(f *testing.F) {
 		}
 		if err := AuditTraces(cfg.Recorder.Traces()); err != nil {
 			t.Fatalf("traces [%s]: %v", ci.Desc, err)
+		}
+		// Worker invariance: the same run over 2..5 shards is identical.
+		sharded := cfg
+		sharded.Workers = 2 + pick(knobs>>32, 4)
+		sharded.Recorder = netsim.NewRecorder(0, 1, 0)
+		sstats, err := netsim.RunWithFailures(sharded)
+		if err != nil {
+			t.Fatalf("sharded run [%s] workers=%d: %v", ci.Desc, sharded.Workers, err)
+		}
+		if !reflect.DeepEqual(sstats, stats) {
+			t.Fatalf("workers=%d stats %+v, single worker %+v [%s]", sharded.Workers, sstats, stats, ci.Desc)
+		}
+		if st, ft := sharded.Recorder.Traces(), cfg.Recorder.Traces(); !reflect.DeepEqual(st, ft) {
+			t.Fatalf("workers=%d traces differ from the single-worker run (%d vs %d) [%s]", sharded.Workers, len(st), len(ft), ci.Desc)
 		}
 		if cfg.NodeFailureProb != 0 || cfg.MaxRetries != 0 {
 			return

@@ -24,11 +24,9 @@ type Suite struct {
 	// without every full suite run paying for it.
 	ScaleNodes   int
 	ScaleClients int
-	// SimWorkers is passed to every discrete-event simulation the
-	// experiments run (netsim Config.Workers): 0 keeps the legacy
-	// sequential engine byte-identical with previous releases; W >= 1 runs
-	// the sharded deterministic engine, whose output is bitwise identical
-	// for every W.
+	// SimWorkers is the worker count passed to every discrete-event
+	// simulation the experiments run (netsim Config.Workers; 0 means one).
+	// The output is bitwise identical for every count.
 	SimWorkers int
 }
 

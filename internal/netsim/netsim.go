@@ -19,11 +19,9 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 
 	"quorumplace/internal/heat"
-	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 )
 
@@ -74,15 +72,11 @@ type Config struct {
 	// SetDefaultHeat sketch; with neither, observation is off at one nil
 	// check per access.
 	Heat *heat.Sketch
-	// Workers selects the engine. 0 (the default) runs the legacy
-	// single-threaded engine, byte-identical to previous releases. Any
-	// W ≥ 1 runs the sharded engine (parallel.go): clients are
-	// partitioned over W event wheels and results merge in canonical
-	// order, so for a fixed Seed every W ≥ 1 produces bitwise-identical
-	// Stats, traces, SLO windows, time-series samples, and heat sketches
-	// (Workers = 1 is the sharded engine's sequential reference; it
-	// differs from Workers = 0 only in RNG schedule, not in
-	// distribution). Negative values are an error.
+	// Workers is the number of worker shards the run uses (parallel.go):
+	// clients are partitioned over Workers event wheels and results merge
+	// in canonical order, so for a fixed Seed every worker count produces
+	// bitwise-identical Stats, traces, SLO windows, time-series samples
+	// and heat sketches. 0 means one worker; negative values are an error.
 	Workers int
 }
 
@@ -188,21 +182,21 @@ func clientAccessCounts(rates []float64, n, perClient int) []int {
 	return counts
 }
 
-// event is a pending message delivery or access start in the event queue.
+// event is a pending access start of one client. A client has at most one
+// pending event, so (at, client) is a canonical total order.
 type event struct {
 	at             float64
-	seq            int // tie-breaker for determinism
 	client, access int
 }
 
-// eventQueue is a binary min-heap over (at, seq).
+// eventQueue is a binary min-heap over (at, client).
 type eventQueue []event
 
 func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
-	return q[i].seq < q[j].seq
+	return q[i].client < q[j].client
 }
 
 func (q *eventQueue) push(e event) {
@@ -244,218 +238,34 @@ func (q *eventQueue) pop() event {
 
 // Run executes the simulation and returns aggregate statistics.
 func Run(cfg Config) (*Stats, error) {
-	ins := cfg.Instance
-	if ins == nil {
-		return nil, fmt.Errorf("netsim: nil instance")
-	}
-	if err := ins.Validate(cfg.Placement); err != nil {
-		return nil, fmt.Errorf("netsim: %w", err)
-	}
-	if cfg.AccessesPerClient <= 0 {
-		return nil, fmt.Errorf("netsim: AccessesPerClient = %d, want > 0", cfg.AccessesPerClient)
-	}
-	if cfg.InterAccessTime < 0 {
-		return nil, fmt.Errorf("netsim: negative InterAccessTime %v", cfg.InterAccessTime)
-	}
-	if err := validateWorkers(cfg.Workers); err != nil {
+	if err := validateCommon(cfg.Instance, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		return runSharded(cfg)
+	if !finite(cfg.InterAccessTime) || cfg.InterAccessTime < 0 {
+		return nil, fmt.Errorf("netsim: InterAccessTime = %v, want finite >= 0", cfg.InterAccessTime)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := ins.M.N()
-	nQ := ins.Sys.NumQuorums()
-	// counts stays nil for uniform (nil) rates: the default path pays no
-	// per-run allocation and every client issues cfg.AccessesPerClient.
-	var counts []int
-	if ins.Rates != nil {
-		counts = clientAccessCounts(ins.Rates, n, cfg.AccessesPerClient)
-	}
+	return runSharded(cfg)
+}
 
-	// Precompute the quorum sampling CDF.
-	cdf := make([]float64, nQ)
-	acc := 0.0
-	for q := 0; q < nQ; q++ {
-		acc += ins.Strat.P(q)
-		cdf[q] = acc
+// validateCommon checks the settings all three simulators share.
+func validateCommon(ins *placement.Instance, pl placement.Placement, perClient, workers int) error {
+	if ins == nil {
+		return fmt.Errorf("netsim: nil instance")
 	}
-	sample := func() int {
-		x := rng.Float64() * acc
-		return sort.SearchFloat64s(cdf, x)
+	if err := ins.Validate(pl); err != nil {
+		return fmt.Errorf("netsim: %w", err)
 	}
+	if perClient <= 0 {
+		return fmt.Errorf("netsim: AccessesPerClient = %d, want > 0", perClient)
+	}
+	if workers < 0 {
+		return fmt.Errorf("netsim: Workers = %d, want >= 0 (0 means one worker)", workers)
+	}
+	return nil
+}
 
-	stats := &Stats{
-		Mode:      cfg.Mode,
-		PerClient: make([]float64, n),
-		NodeHits:  make([]int64, n),
-	}
-	perClientCount := make([]int, n)
-
-	sp := obs.Start("netsim.run")
-	defer sp.End()
-	var events, messages int64
-	maxQueueDepth := 0
-	defer func() {
-		obs.Count("netsim.events", events)
-		obs.Count("netsim.messages", messages)
-		obs.GaugeMax("netsim.max_queue_depth", float64(maxQueueDepth))
-	}()
-
-	rec := recorderFor(cfg.Recorder)
-	var ts *tsState
-	runID := 0
-	var traced int64
-	if rec != nil {
-		runID = rec.beginRun()
-		ts = newTSState(rec, runID)
-		defer func() { obs.Count("netsim.traced_accesses", traced) }()
-	}
-	// Windowed SLO accounting folds every access into the window of its
-	// completion time; accNodes is a per-access scratch of the nodes its
-	// messages hit, shared by the SLO and heat paths and reused so neither
-	// allocates per access.
-	slo := rec != nil && rec.sloEnabled()
-	ht := heatFor(cfg.Heat)
-	collectNodes := slo || ht != nil
-	var accNodes []int
-	if slo {
-		rec.sloSetNodes(runID, n)
-	}
-	if collectNodes {
-		accNodes = make([]int, 0, 16)
-	}
-	// When telemetry is on, access latencies accumulate in a run-local
-	// log-linear histogram merged once at run end — one contention point per
-	// run instead of one per access.
-	var lh *obs.LogHist
-	if obs.Enabled() {
-		lh = obs.NewLogHist()
-	}
-
-	var q eventQueue
-	seq := 0
-	for v := 0; v < n; v++ {
-		if counts != nil && counts[v] == 0 {
-			continue
-		}
-		q.push(event{at: 0, seq: seq, client: v, access: 0})
-		seq++
-	}
-	for len(q) > 0 {
-		if len(q) > maxQueueDepth {
-			maxQueueDepth = len(q)
-		}
-		e := q.pop()
-		events++
-		if ts != nil {
-			// Emit every time-series boundary crossed before this event; all
-			// previously processed events are ≤ each boundary, so the gauges
-			// are consistent at the sample instant.
-			ts.advance(e.at, func(at float64, s *TSample) {
-				ts.done.popTo(at)
-				s.InFlight = len(ts.done)
-				s.Accesses = stats.Accesses
-				s.NodeHits = append([]int64(nil), stats.NodeHits...)
-			})
-		}
-		v := e.client
-		qi := sample()
-		if qi >= nQ {
-			qi = nQ - 1
-		}
-		var tr *AccessTrace
-		if rec != nil && rec.shouldTrace() {
-			tr = &AccessTrace{Run: runID, Client: v, Quorum: qi, Mode: cfg.Mode, Start: e.at}
-			tr.Probes = rec.getProbes(len(ins.Sys.Quorum(qi)))[:0]
-		}
-		row := ins.M.Row(v)
-		var latency float64
-		accNodes = accNodes[:0]
-		for _, u := range ins.Sys.Quorum(qi) {
-			node := cfg.Placement.Node(u)
-			d := row[node]
-			stats.NodeHits[node]++
-			messages++
-			if collectNodes {
-				accNodes = append(accNodes, node)
-			}
-			if tr != nil {
-				dispatch := e.at
-				if cfg.Mode == Sequential {
-					dispatch += latency
-				}
-				tr.Probes = append(tr.Probes, ProbeSpan{
-					Member: u, Node: node,
-					Dispatch: dispatch, NetDelay: d, Complete: dispatch + d,
-				})
-			}
-			switch cfg.Mode {
-			case Parallel:
-				if d > latency {
-					latency = d
-				}
-			case Sequential:
-				latency += d
-			}
-		}
-		done := e.at + latency
-		if done > stats.Clock {
-			stats.Clock = done
-		}
-		stats.Accesses++
-		stats.AvgLatency += latency
-		stats.latencies = append(stats.latencies, latency)
-		stats.PerClient[v] += latency
-		perClientCount[v]++
-		if lh != nil {
-			lh.Observe(latency)
-		}
-		if slo {
-			rec.sloAccess(runID, done, latency, 0, false, accNodes)
-		}
-		if ht != nil {
-			ht.Observe(e.at, v, accNodes)
-		}
-		if tr != nil {
-			tr.End = done
-			tr.Latency = latency
-			markStraggler(tr)
-			rec.add(*tr)
-			traced++
-		}
-		if ts != nil {
-			ts.done.push(done)
-		}
-		limit := cfg.AccessesPerClient
-		if counts != nil {
-			limit = counts[v]
-		}
-		if e.access+1 < limit {
-			think := 0.0
-			if cfg.InterAccessTime > 0 {
-				think = rng.ExpFloat64() * cfg.InterAccessTime
-			}
-			q.push(event{at: done + think, seq: seq, client: v, access: e.access + 1})
-			seq++
-		}
-	}
-	stats.AvgLatency /= float64(stats.Accesses)
-	for v := 0; v < n; v++ {
-		if perClientCount[v] > 0 {
-			stats.PerClient[v] /= float64(perClientCount[v])
-		}
-	}
-	stats.EmpiricalLoad = make([]float64, n)
-	totalAccesses := float64(stats.Accesses)
-	for v := 0; v < n; v++ {
-		// Empirical load: fraction of all accesses that hit node v — the
-		// sampled analogue of load_f(v) = Σ_{u:f(u)=v} load(u). With
-		// uniform rates the denominator equals n·AccessesPerClient.
-		stats.EmpiricalLoad[v] = float64(stats.NodeHits[v]) / totalAccesses
-	}
-	if lh != nil {
-		obs.MergeHist("netsim.access_latency", lh)
-	}
-	return stats, nil
+// finite reports whether x is neither NaN nor infinite. Range checks such
+// as x < 0 pass NaN, so every float knob goes through this first.
+func finite(x float64) bool {
+	return !math.IsNaN(x) && !math.IsInf(x, 0)
 }

@@ -46,6 +46,47 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteInputsRejected is the regression test for float knobs that
+// slipped past the range checks: NaN fails every comparison and +Inf passes
+// the lower bounds, so a NaN ArrivalRate silently dropped every access, a
+// NaN think time ran accesses back to back, and an infinite one pushed
+// Clock to +Inf. Every simulator must return an error instead.
+func TestNonFiniteInputsRejected(t *testing.T) {
+	ins, p := buildInstance(t)
+	nan, inf := math.NaN(), math.Inf(1)
+	run := func(c Config) error { _, err := Run(c); return err }
+	fail := func(c FailureConfig) error { _, err := RunWithFailures(c); return err }
+	queue := func(c QueueConfig) error { _, err := RunQueueing(c); return err }
+	base := Config{Instance: ins, Placement: p, AccessesPerClient: 5, Seed: 1}
+	fbase := FailureConfig{Instance: ins, Placement: p, AccessesPerClient: 5, Seed: 1, NodeFailureProb: 0.1}
+	qbase := QueueConfig{Instance: ins, Placement: p, AccessesPerClient: 5, Seed: 1, ArrivalRate: 1, ServiceMean: 0.1}
+	cases := []struct {
+		name string
+		run  func(workers int) error
+	}{
+		{"Run/InterAccessTime=NaN", func(w int) error { c := base; c.InterAccessTime, c.Workers = nan, w; return run(c) }},
+		{"Run/InterAccessTime=+Inf", func(w int) error { c := base; c.InterAccessTime, c.Workers = inf, w; return run(c) }},
+		{"RunWithFailures/NodeFailureProb=NaN", func(w int) error { c := fbase; c.NodeFailureProb, c.Workers = nan, w; return fail(c) }},
+		{"RunWithFailures/RetryPenalty=NaN", func(w int) error { c := fbase; c.RetryPenalty, c.Workers = nan, w; return fail(c) }},
+		{"RunWithFailures/RetryPenalty=+Inf", func(w int) error { c := fbase; c.RetryPenalty, c.Workers = inf, w; return fail(c) }},
+		{"RunQueueing/ArrivalRate=NaN", func(w int) error { c := qbase; c.ArrivalRate, c.Workers = nan, w; return queue(c) }},
+		{"RunQueueing/ArrivalRate=+Inf", func(w int) error { c := qbase; c.ArrivalRate, c.Workers = inf, w; return queue(c) }},
+		{"RunQueueing/ServiceMean=NaN", func(w int) error { c := qbase; c.ServiceMean, c.Workers = nan, w; return queue(c) }},
+		{"RunQueueing/ServiceMean=+Inf", func(w int) error { c := qbase; c.ServiceMean, c.Workers = inf, w; return queue(c) }},
+	}
+	for _, tc := range cases {
+		for _, w := range []int{0, 1, 3} {
+			if err := tc.run(w); err == nil {
+				t.Errorf("%s workers=%d: accepted", tc.name, w)
+			}
+		}
+	}
+	// The finite bases themselves are valid.
+	if run(base) != nil || fail(fbase) != nil || queue(qbase) != nil {
+		t.Fatal("finite base configurations rejected")
+	}
+}
+
 func TestRunBasicAccounting(t *testing.T) {
 	ins, p := buildInstance(t)
 	const per = 50

@@ -1,15 +1,13 @@
 package netsim
 
-// Sharded deterministic discrete-event engine (conservative-window PDES).
+// Sharded deterministic discrete-event engine (conservative-window PDES),
+// the one engine behind Run, RunWithFailures and RunQueueing.
 //
-// The single-threaded simulators process one global (at, seq) event heap
-// and consume one shared RNG stream in global event order, which makes
-// every statistic deterministic but pins the whole run to one core. The
-// sharded engine behind Config.Workers / QueueConfig.Workers /
-// FailureConfig.Workers partitions the simulation entities (clients, and
-// for the queueing simulator also the node service queues) across W
-// workers, each with its own event wheel, and restores determinism with
-// three ingredients:
+// Config.Workers / QueueConfig.Workers / FailureConfig.Workers set the
+// degree of parallelism: the simulation entities (clients, and for the
+// queueing simulator also the node service queues) are partitioned across
+// W workers, each with its own event wheel. Determinism rests on three
+// ingredients:
 //
 //  1. Per-entity RNG streams. Every client (and every node, for service
 //     times) draws from a private splitmix64 counter stream seeded from
@@ -34,18 +32,16 @@ package netsim
 // window counts, heat sketch cells, histogram buckets) are associative
 // and merge losslessly in any order; floating-point accumulations fold
 // either over the canonical merged stream or per entity in index order,
-// so the same bits come out for every worker count W >= 1.
+// so the same bits come out for every worker count.
 //
-// Contract: with the same Seed and any Workers >= 1 the engine produces
+// Contract: with the same Seed, every Workers value produces
 // bitwise-identical Stats / FailureStats / QueueStats, traces, SLO
-// windows, time-series samples and heat sketches; Workers == 0 keeps the
-// legacy single-stream engine byte-for-byte (its RNG schedule differs
-// from the sharded engine's per-entity streams, so the two knob settings
-// are each deterministic but not mutually identical).
+// windows, time-series samples and heat sketches. Workers = 0 means one
+// worker, which runs inline on the caller's goroutine.
 
 import (
-	"fmt"
 	"math"
+	"sync"
 
 	"quorumplace/internal/heat"
 	"quorumplace/internal/placement"
@@ -70,8 +66,8 @@ const (
 
 // prng is an 8-byte splitmix64 counter stream, cheap enough that every
 // client and node of a million-entity run affords a private stream (the
-// shared math/rand source carries 607 words of state — 5 KB per stream —
-// and its draw order couples all entities together).
+// standard library's lagged-Fibonacci source carries 607 words of state,
+// 5 KB per stream).
 type prng struct{ state uint64 }
 
 // newPRNG derives the stream for one entity of one run.
@@ -103,29 +99,54 @@ func shardOfEntity(v, n, w int) int {
 	return ((v+1)*w - 1) / n
 }
 
-// clampWorkers bounds a Workers knob to the entity count (spare workers
+// clampWorkers resolves a Workers knob to the number of shards: 0 means
+// one, and counts beyond the entity count clamp to it (spare workers
 // would own empty shards; the result is identical either way, the clamp
 // just skips spawning them).
 func clampWorkers(workers, n int) int {
+	if workers < 1 {
+		return 1
+	}
 	if workers > n {
 		return n
 	}
 	return workers
 }
 
-// validateWorkers rejects negative Workers knobs for all three simulators.
-func validateWorkers(workers int) error {
-	if workers < 0 {
-		return fmt.Errorf("netsim: Workers = %d, want >= 0 (0 = legacy sequential engine)", workers)
+// runWorkers calls fn for every worker index 0..w-1 concurrently and
+// waits for all of them. A single worker runs inline, with no goroutine
+// or WaitGroup.
+func runWorkers(w int, fn func(i int)) {
+	if w == 1 {
+		fn(0)
+		return
 	}
-	return nil
+	var wg sync.WaitGroup
+	for i := 0; i < w; i++ {
+		wg.Add(1)
+		go func(i int) { defer wg.Done(); fn(i) }(i)
+	}
+	wg.Wait()
 }
 
-// shouldTraceDet is the sharded engine's trace-sampling predicate: a
-// deterministic pseudo-random 1-in-every subset keyed by (seed, client,
-// access). The legacy engine samples every k-th access in global event
-// order, which no shard can know locally; hashing the access identity
-// keeps the same expected rate while staying invariant under sharding.
+// ownedAccesses returns how many accesses the clients in [lo, hi) issue
+// in total, so a worker can size its per-access buffers up front.
+func ownedAccesses(counts []int, perClient, lo, hi int) int {
+	if counts == nil {
+		return (hi - lo) * perClient
+	}
+	total := 0
+	for _, c := range counts[lo:hi] {
+		total += c
+	}
+	return total
+}
+
+// shouldTraceDet is the trace-sampling predicate: a deterministic
+// pseudo-random 1-in-every subset keyed by (seed, client, access).
+// Hashing the access identity, rather than counting accesses in global
+// event order (which no shard can know locally), keeps the expected rate
+// at 1 in every while staying invariant under sharding.
 func shouldTraceDet(traceSeed uint64, client, access, every int) bool {
 	if every <= 1 {
 		return true
@@ -162,7 +183,7 @@ func latLess(a, b latRec) bool {
 // keyedTrace is a completed AccessTrace held back in a worker buffer
 // until the canonical merge replays it into the shared Recorder.
 type keyedTrace struct {
-	at     float64 // recorder-order key: the event time the legacy engine would add at
+	at     float64 // recorder-order key: the event time of the access
 	client int
 	access int
 	tr     AccessTrace
@@ -258,7 +279,7 @@ func addInt(dst, src []int) []int {
 }
 
 // quorumCDF precomputes the quorum-sampling CDF shared read-only by all
-// workers, identical to the sequential engines' per-run CDF.
+// workers.
 func quorumCDF(ins *placement.Instance) (cdf []float64, total float64) {
 	nQ := ins.Sys.NumQuorums()
 	cdf = make([]float64, nQ)

@@ -2,18 +2,16 @@ package netsim
 
 import (
 	"sort"
-	"sync"
 
 	"quorumplace/internal/heat"
 	"quorumplace/internal/obs"
 )
 
 // Sharded engine for RunWithFailures. Crash states are resampled per
-// access from the issuing client's private stream (the legacy engine
-// draws them from the shared stream in global event order), so every
-// shard's draws are a pure function of its own clients' access order and
-// the outcome is invariant under the partition. Like Run, clients never
-// interact, so the shards run barrier-free.
+// access from the issuing client's private stream, so every shard's draws
+// are a pure function of its own clients' access order and the outcome is
+// invariant under the partition. Like Run, clients never interact, so the
+// shards run barrier-free.
 
 // failWorker is the per-shard state of one failure-simulator worker.
 type failWorker struct {
@@ -30,6 +28,7 @@ type failWorker struct {
 	traceSeed   uint64
 	ht          *heat.Sketch
 	sh          *obs.Shard
+	lat         *obs.LogHist // the shard's access-latency histogram, nil when off
 
 	q         eventQueue
 	streams   []prng
@@ -61,7 +60,7 @@ func (w *failWorker) run() {
 		if w.counts != nil && w.counts[v] == 0 {
 			continue
 		}
-		w.q.push(event{at: 0, seq: v, client: v, access: 0})
+		w.q.push(event{at: 0, client: v, access: 0})
 	}
 	collectNodes := w.slo || w.ht != nil
 	for len(w.q) > 0 {
@@ -172,8 +171,8 @@ func (w *failWorker) run() {
 				w.traces = append(w.traces, keyedTrace{at: e.at, client: v, access: e.access, tr: *tr})
 			}
 		}
-		if success {
-			w.sh.Observe("netsim.access_latency", elapsed)
+		if success && w.lat != nil {
+			w.lat.Observe(elapsed)
 		}
 		if w.slo {
 			w.rec.sloAccess(w.runID, e.at+elapsed, elapsed, accRetries, !success, w.accNodes)
@@ -186,14 +185,14 @@ func (w *failWorker) run() {
 			limit = w.counts[v]
 		}
 		if e.access+1 < limit {
-			w.q.push(event{at: e.at + elapsed, seq: v, client: v, access: e.access + 1})
+			w.q.push(event{at: e.at + elapsed, client: v, access: e.access + 1})
 		}
 	}
 	w.sh.Count("netsim.events", int64(w.accesses))
 	w.sh.Count("netsim.retries", w.retries)
 }
 
-// runFailuresSharded is the Workers > 0 engine behind RunWithFailures.
+// runFailuresSharded is the engine behind RunWithFailures.
 func runFailuresSharded(cfg FailureConfig) (*FailureStats, error) {
 	ins := cfg.Instance
 	n := ins.M.N()
@@ -232,10 +231,12 @@ func runFailuresSharded(cfg FailureConfig) (*FailureStats, error) {
 			counts: counts, cdf: cdf, acc: acc,
 			rec: rec, runID: runID, slo: slo,
 			sampleEvery: sampleEvery, traceSeed: traceSeed,
-			sh:      obs.NewShard(sp),
 			streams: make([]prng, hi-lo),
 			alive:   make([]bool, n),
+			latBuf:  make([]latRec, 0, ownedAccesses(counts, cfg.AccessesPerClient, lo, hi)),
 		}
+		w.sh = obs.NewShard(sp)
+		w.lat = w.sh.Hist("netsim.access_latency")
 		if ht != nil {
 			w.ht = shards[i]
 		}
@@ -244,12 +245,7 @@ func runFailuresSharded(cfg FailureConfig) (*FailureStats, error) {
 		}
 		ws[i] = w
 	}
-	var wg sync.WaitGroup
-	for _, w := range ws {
-		wg.Add(1)
-		go func(w *failWorker) { defer wg.Done(); w.run() }(w)
-	}
-	wg.Wait()
+	runWorkers(W, func(i int) { ws[i].run() })
 
 	stats := &FailureStats{}
 	latBufs := make([][]latRec, W)
@@ -267,8 +263,7 @@ func runFailuresSharded(cfg FailureConfig) (*FailureStats, error) {
 	}
 	// Fold the successful-latency sum over the canonically merged stream so
 	// the float bits are independent of the partition.
-	var scratch Stats
-	latencySum := mergeLatRecs(&scratch, latBufs)
+	latencySum := mergeLatRecs(latBufs, nil)
 	stats.SuccessRate = float64(stats.Succeeded) / float64(stats.Accesses)
 	if stats.Succeeded > 0 {
 		stats.AvgLatency = latencySum / float64(stats.Succeeded)

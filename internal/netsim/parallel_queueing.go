@@ -22,15 +22,14 @@ import (
 // T + L, outside the window, so every shard already holds all its events
 // below T+L when the window opens and processes them in canonical order.
 
-// pqEvent is an event of the sharded queueing engine. Unlike the legacy
-// queueEvent it has no insertion-order seq: ties at equal virtual time
-// break on the event identity (kind, client, access, node, slot), which
-// is a total order — no two distinct events share all five — and is the
-// same in every execution, which is what makes the windowed runs
-// bitwise-reproducible. kind 3 (response) is new relative to the legacy
-// engine: the response propagation back to the client is an explicit
-// event so it can cross shards, carrying the probe's queue-wait and
-// service time for the client-side trace.
+// pqEvent is an event of the queueing engine. It has no insertion-order
+// seq: ties at equal virtual time break on the event identity (kind,
+// client, access, node, slot), which is a total order — no two distinct
+// events share all five — and is the same in every execution, which is
+// what makes the windowed runs bitwise-reproducible. The response
+// propagation back to the client (kind 3) is an explicit event so it can
+// cross shards, carrying the probe's queue-wait and service time for the
+// client-side trace.
 type pqEvent struct {
 	at        float64
 	wait, svc float64 // kind 3: queue wait and service of the answered message
@@ -149,6 +148,7 @@ type queueWorker struct {
 	traceSeed   uint64
 	ht          *heat.Sketch
 	sh          *obs.Shard
+	lat         *obs.LogHist // the shard's access-latency histogram, nil when off
 	peers       []*queueWorker
 
 	h            pqHeap
@@ -204,7 +204,10 @@ func (w *queueWorker) send(e pqEvent) {
 }
 
 // seed precomputes the owned clients' Poisson issue schedules from their
-// private streams and initializes the node service streams.
+// private streams into the access states, initializes the node service
+// streams, and schedules each client's first issue. Later issues enter
+// the heap one at a time as their predecessor is processed, keeping the
+// heap at one pending issue per client plus the messages in flight.
 func (w *queueWorker) seed() {
 	cfg := w.cfg
 	for i := range w.clientStream {
@@ -213,13 +216,16 @@ func (w *queueWorker) seed() {
 	for i := range w.nodeStream {
 		w.nodeStream[i] = newPRNG(cfg.Seed, streamService, w.lo+i)
 	}
+	apc := cfg.AccessesPerClient
 	for v := w.lo; v < w.hi; v++ {
 		st := &w.clientStream[v-w.lo]
+		states := w.states[(v-w.lo)*apc : (v-w.lo+1)*apc]
 		t := 0.0
-		for a := 0; a < cfg.AccessesPerClient; a++ {
+		for a := range states {
 			t += st.ExpFloat64() / cfg.ArrivalRate
-			w.h.push(pqEvent{at: t, kind: 0, client: v, access: a})
+			states[a].issuedAt = t
 		}
+		w.h.push(pqEvent{at: states[0].issuedAt, kind: 0, client: v, access: 0})
 	}
 	for v := w.lo; v < w.hi; v++ {
 		w.qHead[v-w.lo], w.qTail[v-w.lo] = -1, -1
@@ -334,7 +340,11 @@ func (w *queueWorker) process(limit float64) {
 		w.lastAt = e.at
 		switch e.kind {
 		case 0: // client issues an access
-			st := &w.states[(e.client-w.lo)*cfg.AccessesPerClient+e.access]
+			idx := (e.client-w.lo)*cfg.AccessesPerClient + e.access
+			if e.access+1 < cfg.AccessesPerClient {
+				w.h.push(pqEvent{at: w.states[idx+1].issuedAt, kind: 0, client: e.client, access: e.access + 1})
+			}
+			st := &w.states[idx]
 			cs := &w.clientStream[e.client-w.lo]
 			qi := sort.SearchFloat64s(w.cdf, cs.Float64()*w.acc)
 			if qi >= nQ {
@@ -343,7 +353,6 @@ func (w *queueWorker) process(limit float64) {
 			row := ins.M.Row(e.client)
 			q := ins.Sys.Quorum(qi)
 			st.remaining = len(q)
-			st.issuedAt = e.at
 			st.lastResp = 0
 			w.inFlight++
 			if w.rec != nil && shouldTraceDet(w.traceSeed, e.client, e.access, w.sampleEvery) {
@@ -403,7 +412,9 @@ func (w *queueWorker) process(limit float64) {
 				w.accesses++
 				lat := st.lastResp - st.issuedAt
 				w.latBuf = append(w.latBuf, latRec{at: st.lastResp, lat: lat, client: int32(e.client)})
-				w.sh.Observe("netsim.access_latency", lat)
+				if w.lat != nil {
+					w.lat.Observe(lat)
+				}
 				if w.slo {
 					w.rec.sloAccess(w.runID, st.lastResp, lat, 0, false, nil)
 				}
@@ -426,7 +437,7 @@ type qCmd struct {
 	limit float64 // window end for op 1
 }
 
-// runQueueingSharded is the Workers > 0 engine behind RunQueueing.
+// runQueueingSharded is the engine behind RunQueueing.
 func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 	ins := cfg.Instance
 	n := ins.M.N()
@@ -478,7 +489,6 @@ func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 			cdf: cdf, acc: acc, serviceMean: serviceMean,
 			rec: rec, runID: runID, slo: slo,
 			sampleEvery: sampleEvery, traceSeed: traceSeed,
-			sh:           obs.NewShard(sp),
 			clientStream: make([]prng, hi-lo),
 			nodeStream:   make([]prng, hi-lo),
 			states:       make([]accessState, (hi-lo)*cfg.AccessesPerClient),
@@ -490,7 +500,10 @@ func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 			waitPerNode:  make([]float64, hi-lo),
 			nodeHits:     make([]int64, n),
 			outbox:       make([][]pqEvent, W),
+			latBuf:       make([]latRec, 0, (hi-lo)*cfg.AccessesPerClient),
 		}
+		w.sh = obs.NewShard(sp)
+		w.lat = w.sh.Hist("netsim.access_latency")
 		if ht != nil {
 			w.ht = shards[i]
 		}
@@ -593,8 +606,7 @@ func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 		w := ws[shardOfEntity(v, n, W)]
 		waitSum += w.waitPerNode[v-w.lo]
 	}
-	var scratch Stats
-	latencySum := mergeLatRecs(&scratch, latBufs)
+	latencySum := mergeLatRecs(latBufs, nil)
 	if stats.Accesses > 0 {
 		stats.AvgLatency = latencySum / float64(stats.Accesses)
 	}

@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"sort"
-	"sync"
 
 	"quorumplace/internal/heat"
 	"quorumplace/internal/obs"
@@ -29,6 +28,7 @@ type runWorker struct {
 	traceSeed   uint64
 	ht          *heat.Sketch // worker heat shard, nil when heat is off
 	sh          *obs.Shard   // worker telemetry shard, nil when telemetry is off
+	lat         *obs.LogHist // the shard's access-latency histogram, nil when off
 
 	q          eventQueue
 	streams    []prng // one per owned client
@@ -64,13 +64,11 @@ func (w *runWorker) run() {
 	for i := range w.streams {
 		w.streams[i] = newPRNG(cfg.Seed, streamAccess, w.lo+i)
 	}
-	// seq = client index: one pending event per client, so (at, client) is
-	// the canonical total order and the legacy eventQueue implements it.
 	for v := w.lo; v < w.hi; v++ {
 		if w.counts != nil && w.counts[v] == 0 {
 			continue
 		}
-		w.q.push(event{at: 0, seq: v, client: v, access: 0})
+		w.q.push(event{at: 0, client: v, access: 0})
 	}
 	collectNodes := w.slo || w.ht != nil
 	for len(w.q) > 0 {
@@ -131,7 +129,9 @@ func (w *runWorker) run() {
 		w.latBuf = append(w.latBuf, latRec{at: e.at, lat: latency, client: int32(v)})
 		w.perClient[v-w.lo] += latency
 		w.perClientN[v-w.lo]++
-		w.sh.Observe("netsim.access_latency", latency)
+		if w.lat != nil {
+			w.lat.Observe(latency)
+		}
 		if w.slo {
 			w.rec.sloAccess(w.runID, done, latency, 0, false, w.accNodes)
 		}
@@ -157,7 +157,7 @@ func (w *runWorker) run() {
 			if cfg.InterAccessTime > 0 {
 				think = st.ExpFloat64() * cfg.InterAccessTime
 			}
-			w.q.push(event{at: done + think, seq: v, client: v, access: e.access + 1})
+			w.q.push(event{at: done + think, client: v, access: e.access + 1})
 		}
 	}
 	w.sh.Count("netsim.events", w.events)
@@ -166,16 +166,18 @@ func (w *runWorker) run() {
 }
 
 // mergeLatRecs k-way merges the workers' canonically ordered latency
-// buffers into stats.latencies and returns the latency sum folded in the
-// merged order — the same fold for every worker count, hence the same
-// bits.
-func mergeLatRecs(stats *Stats, bufs [][]latRec) float64 {
+// buffers and returns the latency sum folded in the merged order — the
+// same fold for every worker count, hence the same bits. When out is
+// non-nil the merged latencies are stored there too.
+func mergeLatRecs(bufs [][]latRec, out *[]float64) float64 {
 	idx := make([]int, len(bufs))
-	total := 0
-	for _, b := range bufs {
-		total += len(b)
+	if out != nil {
+		total := 0
+		for _, b := range bufs {
+			total += len(b)
+		}
+		*out = make([]float64, 0, total)
 	}
-	stats.latencies = make([]float64, 0, total)
 	var sum float64
 	for {
 		best := -1
@@ -191,13 +193,15 @@ func mergeLatRecs(stats *Stats, bufs [][]latRec) float64 {
 			return sum
 		}
 		r := bufs[best][idx[best]]
-		stats.latencies = append(stats.latencies, r.lat)
+		if out != nil {
+			*out = append(*out, r.lat)
+		}
 		sum += r.lat
 		idx[best]++
 	}
 }
 
-// runSharded is the Workers > 0 engine behind Run.
+// runSharded is the engine behind Run.
 func runSharded(cfg Config) (*Stats, error) {
 	ins := cfg.Instance
 	n := ins.M.N()
@@ -236,12 +240,14 @@ func runSharded(cfg Config) (*Stats, error) {
 			counts: counts, cdf: cdf, acc: acc,
 			rec: rec, runID: runID, slo: slo,
 			sampleEvery: sampleEvery, traceSeed: traceSeed,
-			sh:         obs.NewShard(sp),
 			streams:    make([]prng, hi-lo),
 			nodeHits:   make([]int64, n),
 			perClient:  make([]float64, hi-lo),
 			perClientN: make([]int, hi-lo),
+			latBuf:     make([]latRec, 0, ownedAccesses(counts, cfg.AccessesPerClient, lo, hi)),
 		}
+		w.sh = obs.NewShard(sp)
+		w.lat = w.sh.Hist("netsim.access_latency")
 		if ht != nil {
 			w.ht = shards[i]
 		}
@@ -251,12 +257,7 @@ func runSharded(cfg Config) (*Stats, error) {
 		w.ts = newTSStateSink(rec, runID, func(s TSample) { w.tsBuf = append(w.tsBuf, s) })
 		ws[i] = w
 	}
-	var wg sync.WaitGroup
-	for _, w := range ws {
-		wg.Add(1)
-		go func(w *runWorker) { defer wg.Done(); w.run() }(w)
-	}
-	wg.Wait()
+	runWorkers(W, func(i int) { ws[i].run() })
 
 	stats := &Stats{
 		Mode:      cfg.Mode,
@@ -296,7 +297,7 @@ func runSharded(cfg Config) (*Stats, error) {
 		tsBufs[i] = w.tsBuf
 		w.sh.Merge()
 	}
-	stats.AvgLatency = mergeLatRecs(stats, latBufs) / float64(stats.Accesses)
+	stats.AvgLatency = mergeLatRecs(latBufs, &stats.latencies) / float64(stats.Accesses)
 	stats.EmpiricalLoad = make([]float64, n)
 	totalAccesses := float64(stats.Accesses)
 	for v := 0; v < n; v++ {

@@ -12,11 +12,11 @@ import (
 	"quorumplace/internal/quorum"
 )
 
-// Differential tests for the sharded engines (parallel*.go): the output of
-// Workers = W must be bitwise identical for every W ≥ 1, with telemetry on
-// and off, trace for trace and sample for sample. Workers = 1 is the
-// sharded engine's sequential reference, so parallel == sequential within
-// the deterministic-schedule contract documented on Config.Workers.
+// Differential tests for the sharded engine (parallel*.go): the output of
+// Workers = W must be bitwise identical for every W, with telemetry on and
+// off, trace for trace and sample for sample. Workers = 1 is the
+// sequential reference, so parallel == sequential within the
+// deterministic-schedule contract documented on Config.Workers.
 
 // shardedArtifacts is everything a sharded run externalizes: the stats
 // struct, and — when telemetry is on — the recorded traces, time-series
@@ -374,8 +374,8 @@ func TestShardedSLOReconciles(t *testing.T) {
 	}
 }
 
-// TestShardedRunMatchesAnalytic: the sharded schedule is new, so pin it to
-// the paper's analytic objective the same way the legacy engine is.
+// TestShardedRunMatchesAnalytic pins a multi-worker run to the paper's
+// analytic objective, as TestParallelMatchesAnalytic does for one worker.
 func TestShardedRunMatchesAnalytic(t *testing.T) {
 	ins, p := buildInstance(t)
 	want := ins.AvgMaxDelay(p)

@@ -2,10 +2,8 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 
 	"quorumplace/internal/heat"
-	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 )
 
@@ -19,12 +17,12 @@ import (
 // capacity constraints matter: placements that violate capacities see
 // queueing delay blow up even though their propagation delay is optimal.
 //
-// The event loop is allocation-free once warm: events live in a value-typed
-// binary heap (no container/heap interface boxing), per-access bookkeeping
-// sits in one dense slice indexed by (client, access), and the per-node FIFO
-// queues are index-linked lists over one shared message arena with a free
-// list, so enqueue/dequeue recycle arena slots instead of growing and
-// re-slicing per-node slices.
+// The event loop (parallel_queueing.go) is allocation-free once warm:
+// events live in a value-typed binary heap (no container/heap interface
+// boxing), per-access bookkeeping sits in one dense slice indexed by
+// (client, access), and the per-node FIFO queues are index-linked lists
+// over one shared message arena with a free list, so enqueue/dequeue
+// recycle arena slots instead of growing and re-slicing per-node slices.
 
 // QueueConfig describes a queueing simulation run.
 type QueueConfig struct {
@@ -48,12 +46,10 @@ type QueueConfig struct {
 	// its issue time (when the load lands on the node queues). Nil falls
 	// back to the SetDefaultHeat sketch.
 	Heat *heat.Sketch
-	// Workers selects the engine, with the same contract as
-	// Config.Workers: 0 keeps the legacy single-stream engine
-	// byte-identical; W ≥ 1 runs the conservative-window sharded engine
-	// (parallel_queueing.go), whose output is bitwise invariant over W.
-	// Relative to Workers = 0, the sharded schedule models response
-	// propagation as explicit events, so Clock also covers the final
+	// Workers is the number of worker shards of the conservative-window
+	// engine (parallel_queueing.go), with the same contract as
+	// Config.Workers: the output is bitwise invariant over it. Response
+	// propagation is an explicit event, so Clock also covers the final
 	// response's flight time.
 	Workers int
 }
@@ -67,78 +63,13 @@ type QueueStats struct {
 	Clock       float64
 }
 
-// queueEvent is an event in the queueing simulator.
-type queueEvent struct {
-	at   float64
-	seq  int
-	kind int // 0 = access issued, 1 = message arrives at node, 2 = service done
-	// access identity
-	client, access int
-	// message routing
-	node int
-	// probe slot within the traced access, -1 when untraced
-	slot int
-}
-
-// queueEventHeap is a value-typed binary min-heap ordered by (at, seq). The
-// explicit sift loops avoid container/heap's per-operation interface boxing
-// (two heap-escaping allocations per event), which dominated the simulator's
-// allocation profile.
-type queueEventHeap []queueEvent
-
-func (h queueEventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *queueEventHeap) push(e queueEvent) {
-	*h = append(*h, e)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !q.less(i, p) {
-			break
-		}
-		q[i], q[p] = q[p], q[i]
-		i = p
-	}
-}
-
-func (h *queueEventHeap) pop() queueEvent {
-	q := *h
-	top := q[0]
-	last := len(q) - 1
-	q[0] = q[last]
-	q = q[:last]
-	*h = q
-	i := 0
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < last && q.less(l, m) {
-			m = l
-		}
-		if r < last && q.less(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-	return top
-}
-
 // pendingMsg is a message waiting in or being served by a node queue. Slots
 // live in one shared arena; next links them into per-node FIFO lists and,
 // when free, into the arena's free list.
 type pendingMsg struct {
 	client, access int
 	arrivedAt      float64
-	slot           int // probe slot within the traced access, -1 when untraced
+	slot           int // member slot within the access's quorum
 	next           int // next message in the node FIFO / free list, -1 = none
 }
 
@@ -153,294 +84,14 @@ type accessState struct {
 
 // RunQueueing executes the queueing simulation.
 func RunQueueing(cfg QueueConfig) (*QueueStats, error) {
-	ins := cfg.Instance
-	if ins == nil {
-		return nil, fmt.Errorf("netsim: nil instance")
-	}
-	if err := ins.Validate(cfg.Placement); err != nil {
-		return nil, fmt.Errorf("netsim: %w", err)
-	}
-	if cfg.AccessesPerClient <= 0 {
-		return nil, fmt.Errorf("netsim: AccessesPerClient = %d, want > 0", cfg.AccessesPerClient)
-	}
-	if cfg.ArrivalRate <= 0 {
-		return nil, fmt.Errorf("netsim: ArrivalRate = %v, want > 0", cfg.ArrivalRate)
-	}
-	if cfg.ServiceMean < 0 {
-		return nil, fmt.Errorf("netsim: negative ServiceMean %v", cfg.ServiceMean)
-	}
-	if err := validateWorkers(cfg.Workers); err != nil {
+	if err := validateCommon(cfg.Instance, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
 		return nil, err
 	}
-	if cfg.Workers > 0 {
-		return runQueueingSharded(cfg)
+	if !finite(cfg.ArrivalRate) || cfg.ArrivalRate <= 0 {
+		return nil, fmt.Errorf("netsim: ArrivalRate = %v, want finite > 0", cfg.ArrivalRate)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := ins.M.N()
-	nQ := ins.Sys.NumQuorums()
-
-	cdf := make([]float64, nQ)
-	acc := 0.0
-	for q := 0; q < nQ; q++ {
-		acc += ins.Strat.P(q)
-		cdf[q] = acc
+	if !finite(cfg.ServiceMean) || cfg.ServiceMean < 0 {
+		return nil, fmt.Errorf("netsim: ServiceMean = %v, want finite >= 0", cfg.ServiceMean)
 	}
-	sampleQuorum := func() int {
-		x := rng.Float64() * acc
-		lo, hi := 0, nQ-1
-		for lo < hi {
-			mid := (lo + hi) / 2
-			if cdf[mid] < x {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		return lo
-	}
-	serviceMean := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if ins.Cap[v] > 0 {
-			serviceMean[v] = cfg.ServiceMean / ins.Cap[v]
-		}
-	}
-
-	// Dense per-access state, indexed client*AccessesPerClient + access.
-	states := make([]accessState, n*cfg.AccessesPerClient)
-	inFlight := 0
-
-	// Per-node FIFO queues as index-linked lists over the msgs arena.
-	msgs := make([]pendingMsg, 0, 64)
-	freeMsg := -1
-	qHead := make([]int, n)
-	qTail := make([]int, n)
-	qLen := make([]int, n)
-	for v := 0; v < n; v++ {
-		qHead[v], qTail[v] = -1, -1
-	}
-	allocMsg := func(m pendingMsg) int {
-		if i := freeMsg; i >= 0 {
-			freeMsg = msgs[i].next
-			msgs[i] = m
-			return i
-		}
-		msgs = append(msgs, m)
-		return len(msgs) - 1
-	}
-	enqueue := func(v int, m pendingMsg) {
-		m.next = -1
-		i := allocMsg(m)
-		if qTail[v] < 0 {
-			qHead[v] = i
-		} else {
-			msgs[qTail[v]].next = i
-		}
-		qTail[v] = i
-		qLen[v]++
-	}
-	dequeue := func(v int) {
-		i := qHead[v]
-		qHead[v] = msgs[i].next
-		if qHead[v] < 0 {
-			qTail[v] = -1
-		}
-		qLen[v]--
-		msgs[i].next = freeMsg
-		freeMsg = i
-	}
-
-	busy := make([]bool, n)
-	busyTime := make([]float64, n)
-
-	stats := &QueueStats{Utilization: make([]float64, n)}
-	var latencySum, waitSum float64
-	var msgCount int
-
-	h := make(queueEventHeap, 0, n*cfg.AccessesPerClient)
-	seq := 0
-	push := func(e queueEvent) {
-		e.seq = seq
-		seq++
-		h.push(e)
-	}
-	// Schedule all access issue times up front (open loop).
-	for v := 0; v < n; v++ {
-		t := 0.0
-		for a := 0; a < cfg.AccessesPerClient; a++ {
-			t += rng.ExpFloat64() / cfg.ArrivalRate
-			push(queueEvent{at: t, kind: 0, client: v, access: a})
-		}
-	}
-
-	rec := recorderFor(cfg.Recorder)
-	var ts *tsState
-	runID := 0
-	var traced int64
-	if rec != nil {
-		runID = rec.beginRun()
-		ts = newTSState(rec, runID)
-		defer func() { obs.Count("netsim.traced_accesses", traced) }()
-	}
-	var nodeHits []int64
-	if ts != nil {
-		nodeHits = make([]int64, n)
-	}
-	// SLO accounting: message hits are charged to the window of the issue
-	// time (that is when the load lands on the nodes), while the access
-	// itself folds into the window of its completion.
-	slo := rec != nil && rec.sloEnabled()
-	ht := heatFor(cfg.Heat)
-	collectNodes := slo || ht != nil
-	var accNodes []int
-	if slo {
-		rec.sloSetNodes(runID, n)
-	}
-	if collectNodes {
-		accNodes = make([]int, 0, 16)
-	}
-	var lh *obs.LogHist
-	if obs.Enabled() {
-		lh = obs.NewLogHist()
-	}
-
-	startService := func(v int, now float64) {
-		if busy[v] || qLen[v] == 0 {
-			return
-		}
-		busy[v] = true
-		msg := msgs[qHead[v]]
-		waitSum += now - msg.arrivedAt
-		msgCount++
-		svc := 0.0
-		if serviceMean[v] > 0 {
-			svc = rng.ExpFloat64() * serviceMean[v]
-		}
-		busyTime[v] += svc
-		if msg.slot >= 0 {
-			if st := &states[msg.client*cfg.AccessesPerClient+msg.access]; st.tr != nil {
-				p := &st.tr.Probes[msg.slot]
-				p.QueueWait = now - msg.arrivedAt
-				p.Service = svc
-			}
-		}
-		push(queueEvent{at: now + svc, kind: 2, client: msg.client, access: msg.access, node: v, slot: msg.slot})
-	}
-
-	sp := obs.Start("netsim.queueing")
-	defer sp.End()
-	var events int64
-	maxNodeQueue := 0
-	defer func() {
-		obs.Count("netsim.events", events)
-		obs.GaugeMax("netsim.max_queue_depth", float64(maxNodeQueue))
-	}()
-	for len(h) > 0 {
-		e := h.pop()
-		events++
-		if ts != nil {
-			ts.advance(e.at, func(at float64, s *TSample) {
-				s.InFlight = inFlight
-				s.Accesses = stats.Accesses
-				s.NodeHits = append([]int64(nil), nodeHits...)
-				s.QueueDepth = append([]int(nil), qLen...)
-			})
-		}
-		if e.at > stats.Clock {
-			stats.Clock = e.at
-		}
-		switch e.kind {
-		case 0: // client issues an access
-			qi := sampleQuorum()
-			row := ins.M.Row(e.client)
-			q := ins.Sys.Quorum(qi)
-			st := &states[e.client*cfg.AccessesPerClient+e.access]
-			st.remaining = len(q)
-			st.issuedAt = e.at
-			inFlight++
-			if rec != nil && rec.shouldTrace() {
-				st.tr = &AccessTrace{Run: runID, Client: e.client, Quorum: qi, Start: e.at}
-				st.tr.Probes = rec.getProbes(len(q))
-			}
-			accNodes = accNodes[:0]
-			for slot, u := range q {
-				node := cfg.Placement.Node(u)
-				msgSlot := -1
-				if st.tr != nil {
-					msgSlot = slot
-					st.tr.Probes[slot] = ProbeSpan{
-						Member: u, Node: node, Dispatch: e.at,
-						NetDelay: row[node] + ins.M.D(node, e.client),
-					}
-				}
-				if collectNodes {
-					accNodes = append(accNodes, node)
-				}
-				push(queueEvent{at: e.at + row[node], kind: 1, client: e.client, access: e.access, node: node, slot: msgSlot})
-			}
-			if slo {
-				rec.sloNodeHits(runID, e.at, accNodes)
-			}
-			if ht != nil {
-				ht.Observe(e.at, e.client, accNodes)
-			}
-		case 1: // message arrives at a node queue
-			enqueue(e.node, pendingMsg{
-				client: e.client, access: e.access, arrivedAt: e.at, slot: e.slot,
-			})
-			if nodeHits != nil {
-				nodeHits[e.node]++
-			}
-			if qLen[e.node] > maxNodeQueue {
-				maxNodeQueue = qLen[e.node]
-			}
-			startService(e.node, e.at)
-		case 2: // service completes; response propagates back
-			dequeue(e.node)
-			busy[e.node] = false
-			startService(e.node, e.at)
-			respAt := e.at + ins.M.D(e.node, e.client)
-			st := &states[e.client*cfg.AccessesPerClient+e.access]
-			st.remaining--
-			if st.tr != nil && e.slot >= 0 {
-				st.tr.Probes[e.slot].Complete = respAt
-			}
-			if respAt > st.lastResp {
-				st.lastResp = respAt
-			}
-			if st.remaining == 0 {
-				stats.Accesses++
-				latencySum += st.lastResp - st.issuedAt
-				if lh != nil {
-					lh.Observe(st.lastResp - st.issuedAt)
-				}
-				if slo {
-					rec.sloAccess(runID, st.lastResp, st.lastResp-st.issuedAt, 0, false, nil)
-				}
-				if st.tr != nil {
-					st.tr.End = st.lastResp
-					st.tr.Latency = st.lastResp - st.issuedAt
-					markStraggler(st.tr)
-					rec.add(*st.tr)
-					traced++
-					st.tr = nil
-				}
-				inFlight--
-			}
-		}
-	}
-	if stats.Accesses > 0 {
-		stats.AvgLatency = latencySum / float64(stats.Accesses)
-	}
-	if msgCount > 0 {
-		stats.AvgWait = waitSum / float64(msgCount)
-	}
-	if stats.Clock > 0 {
-		for v := 0; v < n; v++ {
-			stats.Utilization[v] = busyTime[v] / stats.Clock
-		}
-	}
-	if lh != nil {
-		obs.MergeHist("netsim.access_latency", lh)
-	}
-	return stats, nil
+	return runQueueingSharded(cfg)
 }

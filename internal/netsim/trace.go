@@ -84,18 +84,12 @@ type Recorder struct {
 	ring          []AccessTrace
 	next          int   // ring write cursor
 	added         int64 // traces ever recorded (incl. overwritten)
-	seen          int64 // accesses considered for sampling
 	runs          int
 	nextLabel     string
 	labels        map[int]string
 	series        []TSample
 	seriesCap     int
 	seriesDropped int64
-	// free recycles the Probes backing arrays of overwritten ring entries
-	// back to the simulators (getProbes), so a saturated ring stops
-	// allocating probe slices. Bounded: each overwrite donates one slice and
-	// each traced access consumes at most one.
-	free [][]ProbeSpan
 
 	// Windowed SLO accounting (see slo.go). sloWindow ≤ 0 means off.
 	sloWindow float64
@@ -104,9 +98,10 @@ type Recorder struct {
 }
 
 // NewRecorder returns a Recorder holding up to capacity traces (≤ 0 means
-// the default 4096), recording every sampleEvery-th access (≤ 1 means every
-// access), and snapshotting time-series gauges every tsInterval units of
-// virtual time (≤ 0 disables the time series).
+// the default 4096), recording a deterministic pseudo-random 1 in
+// sampleEvery of the accesses (≤ 1 means every access; see
+// shouldTraceDet), and snapshotting time-series gauges every tsInterval
+// units of virtual time (≤ 0 disables the time series).
 func NewRecorder(capacity, sampleEvery int, tsInterval float64) *Recorder {
 	if capacity <= 0 {
 		capacity = defaultTraceCapacity
@@ -143,7 +138,7 @@ func (r *Recorder) SeriesDropped() int64 {
 }
 
 // sampleEveryN returns the recorder's 1-in-k trace sampling divisor
-// (immutable after construction; the sharded engine folds it into its
+// (immutable after construction; the engine folds it into its
 // deterministic sampling hash).
 func (r *Recorder) sampleEveryN() int {
 	return r.sampleEvery
@@ -159,7 +154,7 @@ const (
 )
 
 // ParseTraceSample parses a -trace-sample flag value: a positive integer
-// k (trace every k-th access; 1 = all) or a preset name, "fine" (1 in
+// k (trace 1 in k accesses; 1 = all) or a preset name, "fine" (1 in
 // 16) or "coarse" (1 in 1024).
 func ParseTraceSample(s string) (int, error) {
 	switch s {
@@ -197,19 +192,8 @@ func (r *Recorder) beginRun() int {
 	return id
 }
 
-// shouldTrace reports whether the next access should be traced, advancing
-// the sampling counter.
-func (r *Recorder) shouldTrace() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ok := r.seen%int64(r.sampleEvery) == 0
-	r.seen++
-	return ok
-}
-
-// add records a completed trace into the ring, assigning its ID. When the
-// full ring overwrites an entry, the evicted trace's probe array goes back
-// to the free pool (safe because Traces deep-copies what it hands out).
+// add records a completed trace into the ring, assigning its ID; a full
+// ring overwrites its oldest entry.
 func (r *Recorder) add(tr AccessTrace) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -220,32 +204,8 @@ func (r *Recorder) add(tr AccessTrace) {
 		r.next = len(r.ring) % r.capacity
 		return
 	}
-	if old := r.ring[r.next].Probes; cap(old) > 0 {
-		r.free = append(r.free, old[:0])
-	}
 	r.ring[r.next] = tr
 	r.next = (r.next + 1) % r.capacity
-}
-
-// getProbes returns a zeroed ProbeSpan slice of length n, backed when
-// possible by memory recycled from overwritten ring entries. Simulators
-// call it instead of make for trace probe windows; slices flow back via add.
-func (r *Recorder) getProbes(n int) []ProbeSpan {
-	r.mu.Lock()
-	var s []ProbeSpan
-	if k := len(r.free); k > 0 {
-		s = r.free[k-1]
-		r.free = r.free[:k-1]
-	}
-	r.mu.Unlock()
-	if cap(s) < n {
-		return make([]ProbeSpan, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = ProbeSpan{}
-	}
-	return s
 }
 
 // addSample appends one time-series sample, or counts it as dropped once
@@ -261,8 +221,8 @@ func (r *Recorder) addSample(s TSample) {
 }
 
 // Traces returns the retained traces, oldest first. Probe slices are deep
-// copies: the ring recycles its probe memory as new traces arrive, so the
-// returned traces must not alias it.
+// copies, so callers may modify the returned traces without touching the
+// ring.
 func (r *Recorder) Traces() []AccessTrace {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -372,15 +332,14 @@ func markStragglerIn(mode Mode, probes []ProbeSpan) {
 
 // --- time-series sampling ----------------------------------------------------
 
-// tsState drives interval sampling for one run: sample is called for every
-// interval boundary crossed before the next event is processed.
+// tsState drives one worker's interval sampling for one run: a sample is
+// emitted for every interval boundary crossed before the next event is
+// processed.
 type tsState struct {
-	rec      *Recorder
 	run      int
 	interval float64
 	next     float64
-	// emit, when non-nil, receives samples instead of rec.addSample. The
-	// sharded engine points it at a worker-local buffer: every worker
+	// emit receives the samples, into a worker-local buffer: every worker
 	// walks the identical boundary sequence, so buffered samples merge
 	// boundary-by-boundary after the join (mergeSamples).
 	emit func(TSample)
@@ -389,21 +348,13 @@ type tsState struct {
 	done fheap
 }
 
-func newTSState(rec *Recorder, run int) *tsState {
+// newTSStateSink returns the sampler of one worker, routing samples to
+// emit, or nil when rec records no time series.
+func newTSStateSink(rec *Recorder, run int, emit func(TSample)) *tsState {
 	if rec == nil || rec.tsInterval <= 0 {
 		return nil
 	}
-	return &tsState{rec: rec, run: run, interval: rec.tsInterval, next: rec.tsInterval}
-}
-
-// newTSStateSink is newTSState with samples routed to emit instead of the
-// recorder's shared series.
-func newTSStateSink(rec *Recorder, run int, emit func(TSample)) *tsState {
-	t := newTSState(rec, run)
-	if t != nil {
-		t.emit = emit
-	}
-	return t
+	return &tsState{run: run, interval: rec.tsInterval, next: rec.tsInterval, emit: emit}
 }
 
 // advance emits samples for every boundary ≤ now; fill populates the
@@ -412,11 +363,7 @@ func (t *tsState) advance(now float64, fill func(at float64, s *TSample)) {
 	for t.next <= now {
 		s := TSample{Run: t.run, At: t.next}
 		fill(t.next, &s)
-		if t.emit != nil {
-			t.emit(s)
-		} else {
-			t.rec.addSample(s)
-		}
+		t.emit(s)
 		t.next += t.interval
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -66,20 +67,61 @@ func TestTraceProbesMatchLatency(t *testing.T) {
 	}
 }
 
-// TestTraceSampling: 1-in-k sampling records every k-th access.
+// TestTraceSampling pins the contract of the hash sampler
+// (shouldTraceDet): 1-in-k sampling traces the same accesses for every
+// worker count, each client's traced count is exactly the number of its
+// access indices the predicate selects, and the total lies within four
+// binomial standard deviations of accesses/k.
 func TestTraceSampling(t *testing.T) {
+	const (
+		k    = 10
+		apc  = 200
+		seed = 3
+	)
 	ins, p := buildInstance(t)
-	rec := NewRecorder(0, 10, 0)
-	stats, err := Run(Config{
-		Instance: ins, Placement: p, Mode: Parallel,
-		AccessesPerClient: 50, Seed: 3, Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
+	n := ins.M.N()
+	run := func(workers int) []AccessTrace {
+		rec := NewRecorder(1<<16, k, 0)
+		if _, err := Run(Config{
+			Instance: ins, Placement: p, Mode: Parallel,
+			AccessesPerClient: apc, Seed: seed, Recorder: rec, Workers: workers,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Dropped() != 0 {
+			t.Fatalf("workers=%d: ring dropped %d traces", workers, rec.Dropped())
+		}
+		return rec.Traces()
 	}
-	want := int64((stats.Accesses + 9) / 10)
-	if rec.Recorded() != want {
-		t.Fatalf("sample=10 recorded %d of %d accesses, want %d", rec.Recorded(), stats.Accesses, want)
+	ref := run(1)
+	for _, w := range []int{2, 5} {
+		if got := run(w); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("workers=%d traced a different set (%d traces) than workers=1 (%d)", w, len(got), len(ref))
+		}
+	}
+
+	perClient := make([]int, n)
+	for _, tr := range ref {
+		perClient[tr.Client]++
+	}
+	traceSeed := traceSeedFor(seed)
+	for v := 0; v < n; v++ {
+		want := 0
+		for a := 0; a < apc; a++ {
+			if shouldTraceDet(traceSeed, v, a, k) {
+				want++
+			}
+		}
+		if perClient[v] != want {
+			t.Errorf("client %d: traced %d accesses, predicate selects %d", v, perClient[v], want)
+		}
+	}
+
+	total := float64(n * apc)
+	mean := total / k
+	bound := 4 * math.Sqrt(total*(1.0/k)*(1-1.0/k))
+	if got := float64(len(ref)); math.Abs(got-mean) > bound {
+		t.Fatalf("sample=%d traced %v of %v accesses, want %v ± %.1f", k, got, total, mean, bound)
 	}
 }
 

@@ -153,15 +153,24 @@ func (sh *Shard) GaugeMax(name string, v float64) {
 
 // Observe records a sample into a shard-local histogram.
 func (sh *Shard) Observe(name string, v float64) {
+	if h := sh.Hist(name); h != nil {
+		h.Observe(v)
+	}
+}
+
+// Hist returns the shard-local histogram called name, creating it, so a
+// hot loop can observe into it without a map lookup per sample. It
+// returns nil on a nil or merged shard.
+func (sh *Shard) Hist(name string) *LogHist {
 	if sh == nil || sh.c == nil {
-		return
+		return nil
 	}
 	h := sh.hists[name]
 	if h == nil {
 		h = NewLogHist()
 		sh.hists[name] = h
 	}
-	h.Observe(v)
+	return h
 }
 
 // Merge folds everything the shard recorded into its collector and leaves

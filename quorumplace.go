@@ -339,7 +339,7 @@ const (
 )
 
 // ParseSimTraceSample parses a -trace-sample flag value: a positive
-// integer k (trace every k-th access) or a preset name, "fine" (1 in 16)
+// integer k (trace 1 in k accesses) or a preset name, "fine" (1 in 16)
 // or "coarse" (1 in 1024).
 func ParseSimTraceSample(s string) (int, error) { return netsim.ParseTraceSample(s) }
 
