@@ -272,10 +272,9 @@ func (d *Daemon) Drift() (*heat.DriftReport, error) {
 	return d.sketch.RecentDrift(plan)
 }
 
-// liveRates returns the sketch's EWMA client rates padded (or truncated)
-// to the instance's client count.
-func (d *Daemon) liveRates() []float64 {
-	rates := d.sketch.ClientRates()
+// fitRates pads (or truncates) the sketch's EWMA client rates to the
+// instance's client count.
+func (d *Daemon) fitRates(rates []float64) []float64 {
 	n := d.ins.M.N()
 	if len(rates) > n {
 		rates = rates[:n]
@@ -302,13 +301,16 @@ func (d *Daemon) Tick() (TickRecord, error) {
 
 	rec := TickRecord{Seq: len(d.ticks), Now: d.now(), Shard: -1}
 
-	rep, err := d.sketch.RecentDrift(d.planDemand)
+	// One EWMA fold serves both the drift score and the live demand: the
+	// fold walks every retained epoch and dominates the tick at long uptime.
+	rates := d.sketch.ClientRates()
+	rep, err := heat.Drift(rates, d.planDemand)
 	if err != nil {
 		return rec, fmt.Errorf("daemon: drift: %w", err)
 	}
 	rec.DriftTV, rec.LiveWeight = rep.TV, rep.LiveWeight
 
-	live := d.liveRates()
+	live := d.fitRates(rates)
 	alerted := rep.TV >= d.cfg.DriftThreshold && rep.LiveWeight >= d.cfg.MinLiveWeight
 	rec.Alerted = alerted
 	if alerted && d.cycleLeft == 0 {

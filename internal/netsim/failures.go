@@ -5,6 +5,7 @@ import (
 
 	"quorumplace/internal/heat"
 	"quorumplace/internal/placement"
+	"quorumplace/internal/quorum"
 )
 
 // Failure-injection simulation: nodes crash independently per access epoch,
@@ -35,13 +36,16 @@ type FailureConfig struct {
 	RetryPenalty      float64
 	AccessesPerClient int
 	Seed              int64
-	// Recorder, when non-nil, captures per-access traces; probes of failed
-	// attempts carry Failed=true and the access records its retry count.
-	// Nil falls back to the SetDefaultRecorder recorder. Accesses are laid
-	// out back-to-back per client on the virtual timeline, in the same
-	// canonical order as Run; with NodeFailureProb = 0 and MaxRetries = 0
-	// every client draws from its stream exactly as under Run, so the run
-	// reproduces Run's per-access latencies and traces exactly.
+	// Recorder, when non-nil, captures per-access traces and SLO windows
+	// (no time-series samples); probes of failed attempts carry
+	// Failed=true and the access records its retry count. Nil falls back
+	// to the SetDefaultRecorder recorder. Accesses are laid out
+	// back-to-back per client on the virtual timeline by the same access
+	// loop as Run, of which Run is the failure-free case: with
+	// NodeFailureProb = 0 no crash state is drawn and no attempt fails,
+	// so whatever MaxRetries is, every client draws from its stream
+	// exactly as under Run (with no think time) and the run reproduces
+	// Run's per-access latencies, traces, SLO windows and heat sketch.
 	Recorder *Recorder
 	// Heat, when non-nil, folds every access into the workload sketch;
 	// nodes probed by failed attempts count as messages (the load landed).
@@ -69,6 +73,9 @@ func RunWithFailures(cfg FailureConfig) (*FailureStats, error) {
 	if err := validateCommon(cfg.Instance, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
 		return nil, err
 	}
+	if err := validateMode(cfg.Mode); err != nil {
+		return nil, err
+	}
 	if !(cfg.NodeFailureProb >= 0 && cfg.NodeFailureProb <= 1) {
 		return nil, fmt.Errorf("netsim: NodeFailureProb = %v outside [0,1]", cfg.NodeFailureProb)
 	}
@@ -81,10 +88,12 @@ func RunWithFailures(cfg FailureConfig) (*FailureStats, error) {
 	return runFailuresSharded(cfg)
 }
 
-func anyQuorumAlive(ins *placement.Instance, pl placement.Placement, alive []bool) bool {
-	for qi := 0; qi < ins.Sys.NumQuorums(); qi++ {
+// anyQuorumAlive reports whether some quorum of sys is placed entirely on
+// alive nodes.
+func anyQuorumAlive(sys *quorum.System, pl placement.Placement, alive []bool) bool {
+	for qi := 0; qi < sys.NumQuorums(); qi++ {
 		ok := true
-		for _, u := range ins.Sys.Quorum(qi) {
+		for _, u := range sys.Quorum(qi) {
 			if !alive[pl.Node(u)] {
 				ok = false
 				break

@@ -1,9 +1,12 @@
 package netsim
 
 import (
-	"math"
+	"fmt"
 	"reflect"
 	"testing"
+
+	"quorumplace/internal/heat"
+	"quorumplace/internal/placement"
 )
 
 // Differential and regression tests for the failure simulator's accounting:
@@ -12,52 +15,85 @@ import (
 // their predecessors, exhausted accesses charged every timeout).
 
 // TestFailureFreeMatchesRunExactly pins RunWithFailures with
-// NodeFailureProb=0, MaxRetries=0 to the plain simulator: same seed, same
-// instance, identical per-access latencies and identical traces, in both
-// access modes. The failure path processes accesses in the same canonical
-// order as Run and skips alive-state sampling when the failure probability
-// is zero, so every client consumes its stream draw for draw as under Run.
+// NodeFailureProb=0 to the plain simulator: same seed, same instance,
+// identical per-access latencies, traces, SLO windows and heat sketches,
+// in both access modes, for uniform and weighted clients (one of them
+// issuing nothing) and for every worker count. Run is the failure-free
+// case of the failure simulator's access loop: at probability zero no
+// crash state is drawn and no attempt fails, so every client consumes
+// its stream draw for draw as under Run — whatever the retry budget.
 func TestFailureFreeMatchesRunExactly(t *testing.T) {
 	ins, pl := buildInstance(t)
+	defer func() { ins.Rates = nil }()
+	weighted := []float64{3, 1, 0, 1, 2, 1, 1, 1, 1}
 	for _, mode := range []Mode{Parallel, Sequential} {
 		t.Run(mode.String(), func(t *testing.T) {
-			const apc = 40
-			runRec := NewRecorder(4096, 1, 0)
-			runStats, err := Run(Config{
-				Instance: ins, Placement: pl, Mode: mode,
-				AccessesPerClient: apc, Seed: 1234, Recorder: runRec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			failRec := NewRecorder(4096, 1, 0)
-			failStats, err := RunWithFailures(FailureConfig{
-				Instance: ins, Placement: pl, Mode: mode,
-				NodeFailureProb: 0, MaxRetries: 0, RetryPenalty: 7, // penalty never charged
-				AccessesPerClient: apc, Seed: 1234, Recorder: failRec,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if failStats.Accesses != runStats.Accesses || failStats.Succeeded != runStats.Accesses {
-				t.Fatalf("failure-free run lost accesses: %+v vs %d", failStats, runStats.Accesses)
-			}
-			if failStats.Retries != 0 || failStats.FailedOutright != 0 {
-				t.Fatalf("failure-free run retried or aborted: %+v", failStats)
-			}
-			if math.Abs(failStats.AvgLatency-runStats.AvgLatency) > 1e-12 {
-				t.Fatalf("AvgLatency diverged: %v vs %v", failStats.AvgLatency, runStats.AvgLatency)
-			}
-			a, b := runRec.Traces(), failRec.Traces()
-			if len(a) != len(b) || len(a) != runStats.Accesses {
-				t.Fatalf("trace counts: run %d, failures %d, accesses %d", len(a), len(b), runStats.Accesses)
-			}
-			for i := range a {
-				if !reflect.DeepEqual(a[i], b[i]) {
-					t.Fatalf("trace %d diverged:\n  run      %+v\n  failures %+v", i, a[i], b[i])
+			for _, rates := range [][]float64{nil, weighted} {
+				if err := ins.SetRates(rates); err != nil {
+					t.Fatal(err)
+				}
+				for _, workers := range []int{1, 3} {
+					for _, retries := range []int{0, 3} {
+						name := fmt.Sprintf("rates=%t/workers=%d/retries=%d", rates != nil, workers, retries)
+						t.Run(name, func(t *testing.T) {
+							checkFailureFreeMatchesRun(t, ins, pl, mode, workers, retries)
+						})
+					}
 				}
 			}
 		})
+	}
+}
+
+func checkFailureFreeMatchesRun(t *testing.T, ins *placement.Instance, pl placement.Placement, mode Mode, workers, retries int) {
+	const apc = 40
+	newTelemetry := func() (*Recorder, *heat.Sketch) {
+		rec := NewRecorder(4096, 1, 0)
+		rec.EnableSLO(2.0)
+		return rec, heat.New(heat.Options{EpochLen: 1, HalfLife: 4})
+	}
+	runRec, runHeat := newTelemetry()
+	runStats, err := Run(Config{
+		Instance: ins, Placement: pl, Mode: mode,
+		AccessesPerClient: apc, Seed: 1234, Workers: workers,
+		Recorder: runRec, Heat: runHeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	failRec, failHeat := newTelemetry()
+	failStats, err := RunWithFailures(FailureConfig{
+		Instance: ins, Placement: pl, Mode: mode,
+		NodeFailureProb: 0, MaxRetries: retries, RetryPenalty: 7, // penalty never charged
+		AccessesPerClient: apc, Seed: 1234, Workers: workers,
+		Recorder: failRec, Heat: failHeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if failStats.Accesses != runStats.Accesses || failStats.Succeeded != runStats.Accesses {
+		t.Fatalf("failure-free run lost accesses: %+v vs %d", failStats, runStats.Accesses)
+	}
+	if failStats.Retries != 0 || failStats.FailedOutright != 0 || failStats.EmpiricalUnavail != 0 {
+		t.Fatalf("failure-free run retried, aborted or saw no live quorum: %+v", failStats)
+	}
+	if failStats.AvgLatency != runStats.AvgLatency {
+		t.Fatalf("AvgLatency diverged: %v vs %v", failStats.AvgLatency, runStats.AvgLatency)
+	}
+	a, b := runRec.Traces(), failRec.Traces()
+	if len(a) != len(b) || len(a) != runStats.Accesses {
+		t.Fatalf("trace counts: run %d, failures %d, accesses %d", len(a), len(b), runStats.Accesses)
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			t.Fatalf("trace %d diverged:\n  run      %+v\n  failures %+v", i, a[i], b[i])
+		}
+	}
+	if !reflect.DeepEqual(runRec.SLOWindows(), failRec.SLOWindows()) {
+		t.Fatal("SLO windows diverged")
+	}
+	if !runHeat.Equal(failHeat) {
+		t.Fatal("heat sketches diverged")
 	}
 }
 

@@ -17,6 +17,7 @@ func TestRunWithFailuresValidation(t *testing.T) {
 		{Instance: ins, Placement: p, AccessesPerClient: 1, NodeFailureProb: 1.5},
 		{Instance: ins, Placement: p, AccessesPerClient: 1, MaxRetries: -1},
 		{Instance: ins, Placement: p, AccessesPerClient: 1, RetryPenalty: -1},
+		{Instance: ins, Placement: p, AccessesPerClient: 1, Mode: Mode(2)},
 	}
 	for i, cfg := range bad {
 		if _, err := RunWithFailures(cfg); err == nil {

@@ -27,12 +27,3 @@ func SetDefaultHeat(s *heat.Sketch) {
 func DefaultHeat() *heat.Sketch {
 	return defaultHeat.Load()
 }
-
-// heatFor resolves the sketch for a run: the explicit per-config sketch if
-// any, else the process default, else nil (off).
-func heatFor(explicit *heat.Sketch) *heat.Sketch {
-	if explicit != nil {
-		return explicit
-	}
-	return defaultHeat.Load()
-}

@@ -218,27 +218,45 @@ func (q *eventQueue) pop() event {
 	last := len(old) - 1
 	old[0] = old[last]
 	*q = old[:last]
+	q.down()
+	return top
+}
+
+// replaceTop replaces the minimum with e, which must not order before it,
+// and restores the heap: a client's next access takes the place of the
+// one just processed at the cost of one sift-down instead of a pop and a
+// push.
+func (q eventQueue) replaceTop(e event) {
+	q[0] = e
+	q.down()
+}
+
+// down sifts the root down to its place.
+func (q eventQueue) down() {
+	n := len(q)
 	i := 0
 	for {
 		l, r, m := 2*i+1, 2*i+2, i
-		if l < last && (*q).less(l, m) {
+		if l < n && q.less(l, m) {
 			m = l
 		}
-		if r < last && (*q).less(r, m) {
+		if r < n && q.less(r, m) {
 			m = r
 		}
 		if m == i {
 			break
 		}
-		(*q)[i], (*q)[m] = (*q)[m], (*q)[i]
+		q[i], q[m] = q[m], q[i]
 		i = m
 	}
-	return top
 }
 
 // Run executes the simulation and returns aggregate statistics.
 func Run(cfg Config) (*Stats, error) {
 	if err := validateCommon(cfg.Instance, cfg.Placement, cfg.AccessesPerClient, cfg.Workers); err != nil {
+		return nil, err
+	}
+	if err := validateMode(cfg.Mode); err != nil {
 		return nil, err
 	}
 	if !finite(cfg.InterAccessTime) || cfg.InterAccessTime < 0 {
@@ -260,6 +278,15 @@ func validateCommon(ins *placement.Instance, pl placement.Placement, perClient, 
 	}
 	if workers < 0 {
 		return fmt.Errorf("netsim: Workers = %d, want >= 0 (0 means one worker)", workers)
+	}
+	return nil
+}
+
+// validateMode rejects a Mode that is neither access cost model (the
+// access loop would otherwise treat it as one of them silently).
+func validateMode(m Mode) error {
+	if m != Parallel && m != Sequential {
+		return fmt.Errorf("netsim: %v is neither parallel nor sequential", m)
 	}
 	return nil
 }

@@ -44,6 +44,10 @@ func TestRunValidation(t *testing.T) {
 	if _, err := Run(Config{Instance: ins, Placement: p, AccessesPerClient: 1, InterAccessTime: -1}); err == nil {
 		t.Fatal("negative think time accepted")
 	}
+	// An unknown mode used to run with every latency 0.
+	if _, err := Run(Config{Instance: ins, Placement: p, Mode: Mode(2), AccessesPerClient: 1}); err == nil {
+		t.Fatal("unknown mode accepted")
+	}
 }
 
 // TestNonFiniteInputsRejected is the regression test for float knobs that

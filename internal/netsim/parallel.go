@@ -1,7 +1,11 @@
 package netsim
 
 // Sharded deterministic discrete-event engine (conservative-window PDES),
-// the one engine behind Run, RunWithFailures and RunQueueing.
+// the one engine behind Run, RunWithFailures and RunQueueing. Run and
+// RunWithFailures share one access loop (parallel_run.go), Run being its
+// failure-free case; RunQueueing has the windowed loop of
+// parallel_queueing.go. All three share one run setup and teardown
+// (runEnv, below).
 //
 // Config.Workers / QueueConfig.Workers / FailureConfig.Workers set the
 // degree of parallelism: the simulation entities (clients, and for the
@@ -44,6 +48,7 @@ import (
 	"sync"
 
 	"quorumplace/internal/heat"
+	"quorumplace/internal/obs"
 	"quorumplace/internal/placement"
 )
 
@@ -129,19 +134,6 @@ func runWorkers(w int, fn func(i int)) {
 	wg.Wait()
 }
 
-// ownedAccesses returns how many accesses the clients in [lo, hi) issue
-// in total, so a worker can size its per-access buffers up front.
-func ownedAccesses(counts []int, perClient, lo, hi int) int {
-	if counts == nil {
-		return (hi - lo) * perClient
-	}
-	total := 0
-	for _, c := range counts[lo:hi] {
-		total += c
-	}
-	return total
-}
-
 // shouldTraceDet is the trace-sampling predicate: a deterministic
 // pseudo-random 1-in-every subset keyed by (seed, client, access).
 // Hashing the access identity, rather than counting accesses in global
@@ -173,7 +165,7 @@ type latRec struct {
 // already in access order within their worker stream, so (at, client) is
 // a total order across streams (ties within a client keep stream order
 // because the merge is stable for equal keys).
-func latLess(a, b latRec) bool {
+func latLess(a, b *latRec) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -189,7 +181,7 @@ type keyedTrace struct {
 	tr     AccessTrace
 }
 
-func traceLess(a, b keyedTrace) bool {
+func traceLess(a, b *keyedTrace) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
@@ -199,26 +191,22 @@ func traceLess(a, b keyedTrace) bool {
 	return a.access < b.access
 }
 
-// mergeTraces replays per-worker trace buffers into rec in canonical
-// order (k-way merge; each buffer is already canonically ordered).
-func mergeTraces(rec *Recorder, buffers [][]keyedTrace) int64 {
-	idx := make([]int, len(buffers))
-	var added int64
+// mergeSorted visits the records of canonically ordered worker buffers
+// in merged canonical order (a k-way merge); equal keys, which only one
+// client's records can share, keep their buffer order.
+func mergeSorted[T any](bufs [][]T, less func(a, b *T) bool, visit func(*T)) {
+	idx := make([]int, len(bufs))
 	for {
 		best := -1
-		for w, b := range buffers {
-			if idx[w] >= len(b) {
-				continue
-			}
-			if best < 0 || traceLess(b[idx[w]], buffers[best][idx[best]]) {
+		for w, b := range bufs {
+			if idx[w] < len(b) && (best < 0 || less(&b[idx[w]], &bufs[best][idx[best]])) {
 				best = w
 			}
 		}
 		if best < 0 {
-			return added
+			return
 		}
-		rec.add(buffers[best][idx[best]].tr)
-		added++
+		visit(&bufs[best][idx[best]])
 		idx[best]++
 	}
 }
@@ -251,14 +239,14 @@ func mergeSamples(rec *Recorder, buffers [][]TSample) {
 			}
 			out.InFlight += s.InFlight
 			out.Accesses += s.Accesses
-			out.NodeHits = addInt64(out.NodeHits, s.NodeHits)
-			out.QueueDepth = addInt(out.QueueDepth, s.QueueDepth)
+			out.NodeHits = addInto(out.NodeHits, s.NodeHits)
+			out.QueueDepth = addInto(out.QueueDepth, s.QueueDepth)
 		}
 		rec.addSample(out)
 	}
 }
 
-func addInt64(dst, src []int64) []int64 {
+func addInto[T int | int64](dst, src []T) []T {
 	for len(dst) < len(src) {
 		dst = append(dst, 0)
 	}
@@ -268,53 +256,188 @@ func addInt64(dst, src []int64) []int64 {
 	return dst
 }
 
-func addInt(dst, src []int) []int {
-	for len(dst) < len(src) {
-		dst = append(dst, 0)
-	}
-	for i, v := range src {
-		dst[i] += v
-	}
-	return dst
+// runEnv is the run setup all three engines share: the run's span, the
+// resolved recorder and its run id, the SLO switch, the trace-sampling
+// salt, the heat sketch, the quorum-sampling CDF and the per-client access
+// counts. Each worker takes its share through addWorker; finish is the
+// one teardown.
+type runEnv struct {
+	n, workers  int
+	counts      []int     // accesses each client issues
+	cdf         []float64 // quorum-sampling CDF, shared read-only by the workers
+	cdfTotal    float64
+	sp          *obs.Span
+	rec         *Recorder
+	runID       int
+	slo         bool
+	sampleEvery int
+	traceSeed   uint64
+	ht          *heat.Sketch
+	shares      []*workerEnv
 }
 
-// quorumCDF precomputes the quorum-sampling CDF shared read-only by all
-// workers.
-func quorumCDF(ins *placement.Instance) (cdf []float64, total float64) {
-	nQ := ins.Sys.NumQuorums()
-	cdf = make([]float64, nQ)
-	acc := 0.0
-	for q := 0; q < nQ; q++ {
-		acc += ins.Strat.P(q)
-		cdf[q] = acc
+// beginRun opens the span and resolves the telemetry of a run of the
+// given number of workers; rec and ht are the config's explicit recorder
+// and heat sketch (nil falls back to the process defaults).
+func beginRun(span string, ins *placement.Instance, perClient, workers int, seed int64, rec *Recorder, ht *heat.Sketch) runEnv {
+	n := ins.M.N()
+	e := runEnv{
+		n:           n,
+		workers:     workers,
+		counts:      clientAccessCounts(ins.Rates, n, perClient),
+		cdf:         make([]float64, ins.Sys.NumQuorums()),
+		sampleEvery: 1,
+		traceSeed:   traceSeedFor(seed),
+		shares:      make([]*workerEnv, 0, workers),
 	}
-	return cdf, acc
+	for q := range e.cdf {
+		e.cdfTotal += ins.Strat.P(q)
+		e.cdf[q] = e.cdfTotal
+	}
+	e.sp = obs.Start(span)
+	if e.rec = rec; rec == nil {
+		e.rec = defaultRecorder.Load()
+	}
+	if e.rec != nil {
+		e.runID = e.rec.beginRun()
+		e.slo = e.rec.sloEnabled()
+		if e.slo {
+			e.rec.sloSetNodes(e.runID, n)
+		}
+		e.sampleEvery = e.rec.sampleEveryN()
+	}
+	if e.ht = ht; ht == nil {
+		e.ht = defaultHeat.Load()
+	}
+	return e
 }
 
-// heatShards builds one empty shard sketch per worker when a sketch is
-// attached (observation stays contention-free on the hot path; the
-// shards Merge losslessly into the target after the fan-in barrier).
-func heatShards(ht *heat.Sketch, workers int) []*heat.Sketch {
-	if ht == nil {
-		return nil
-	}
-	shards := make([]*heat.Sketch, workers)
-	for w := range shards {
-		shards[w] = ht.NewShard()
-	}
-	return shards
+// workerEnv is one worker's share of the run setup: its block of clients
+// (and, for the queueing engine, of nodes), its telemetry and heat shards,
+// and the buffers the teardown merges in canonical order.
+type workerEnv struct {
+	lo, hi      int
+	rec         *Recorder // nil when tracing is off
+	runID       int
+	slo         bool
+	sampleEvery int
+	traceSeed   uint64
+	ht          *heat.Sketch // the worker's heat shard, nil when heat is off
+	sh          *obs.Shard   // the worker's telemetry shard, nil when telemetry is off
+	lat         *obs.LogHist // the shard's access-latency histogram, nil when off
+	accNodes    []int        // nodes the current access hit; nil unless SLO or heat reads them
+	ts          *tsState     // nil unless the recorder samples a time series
+	latBuf      []latRec     // completed accesses, canonical order
+	traces      []keyedTrace // sampled traces, canonical order
+	lastAt      float64      // time of the last processed event (nondecreasing)
 }
 
-// mergeHeatShards folds worker sketches into the target in worker order
-// (integer cells: any order yields the same bits).
-func mergeHeatShards(ht *heat.Sketch, shards []*heat.Sketch) error {
-	if ht == nil {
-		return nil
+// addWorker fills in worker i's share of the setup: the block partition
+// [⌊i·n/W⌋, ⌊(i+1)·n/W⌋) of the entities, and a latency buffer sized for
+// the owned clients' accesses. src fills the worker's time-series gauges;
+// nil records no time series.
+func (e *runEnv) addWorker(we *workerEnv, i int, src sampleSource) {
+	lo, hi := i*e.n/e.workers, (i+1)*e.n/e.workers
+	owned := 0
+	for _, c := range e.counts[lo:hi] {
+		owned += c
 	}
-	for _, sh := range shards {
-		if err := ht.Merge(sh); err != nil {
-			return err
+	*we = workerEnv{
+		lo: lo, hi: hi,
+		rec: e.rec, runID: e.runID, slo: e.slo,
+		sampleEvery: e.sampleEvery, traceSeed: e.traceSeed,
+		latBuf: make([]latRec, 0, owned),
+	}
+	we.sh = obs.NewShard(e.sp)
+	we.lat = we.sh.Hist("netsim.access_latency")
+	if e.ht != nil {
+		// A private shard keeps heat observation free of contention; the
+		// shards merge losslessly into the target in finish.
+		we.ht = e.ht.NewShard()
+	}
+	if e.slo || we.ht != nil {
+		we.accNodes = make([]int, 0, 16)
+	}
+	if src != nil {
+		we.ts = newTSState(e.rec, e.runID, src)
+	}
+	e.shares = append(e.shares, we)
+}
+
+// latencySum merges the workers' latency buffers in canonical order and
+// returns the latency sum folded in that order — the same fold for every
+// worker count, hence the same bits. When out is non-nil the merged
+// latencies are stored there too.
+func (e *runEnv) latencySum(out *[]float64) float64 {
+	bufs := make([][]latRec, len(e.shares))
+	total := 0
+	for i, we := range e.shares {
+		bufs[i] = we.latBuf
+		total += len(we.latBuf)
+	}
+	var sum float64
+	if out != nil {
+		*out = make([]float64, 0, total)
+	}
+	fold := func(r *latRec) {
+		sum += r.lat
+		if out != nil {
+			*out = append(*out, r.lat)
 		}
 	}
-	return nil
+	if len(bufs) == 1 { // one buffer is already in canonical order
+		for i := range bufs[0] {
+			fold(&bufs[0][i])
+		}
+		return sum
+	}
+	mergeSorted(bufs, latLess, fold)
+	return sum
+}
+
+// finish is the teardown all three engines share. It emits each worker's
+// trailing time-series boundaries up to the run's last event (a worker
+// whose events ended early still owes them, filled from its final state),
+// merges the telemetry shards, replays the buffered traces into the
+// recorder in canonical order, merges the time-series samples and folds
+// the heat shards into the target sketch (integer cells: any order yields
+// the same bits). It returns the time of the run's last event.
+func (e *runEnv) finish() (float64, error) {
+	lastAt := 0.0
+	for _, we := range e.shares {
+		if we.lastAt > lastAt {
+			lastAt = we.lastAt
+		}
+	}
+	for _, we := range e.shares {
+		if we.ts != nil {
+			we.ts.advance(lastAt)
+		}
+		we.sh.Merge()
+	}
+	if e.rec != nil {
+		traces := make([][]keyedTrace, len(e.shares))
+		samples := make([][]TSample, len(e.shares))
+		for i, we := range e.shares {
+			traces[i] = we.traces
+			if we.ts != nil {
+				samples[i] = we.ts.buf
+			}
+		}
+		var traced int64
+		mergeSorted(traces, traceLess, func(kt *keyedTrace) {
+			e.rec.add(kt.tr)
+			traced++
+		})
+		obs.Count("netsim.traced_accesses", traced)
+		mergeSamples(e.rec, samples)
+	}
+	if e.ht != nil {
+		for _, we := range e.shares {
+			if err := e.ht.Merge(we.ht); err != nil {
+				return lastAt, err
+			}
+		}
+	}
+	return lastAt, nil
 }

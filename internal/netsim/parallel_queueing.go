@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"quorumplace/internal/heat"
 	"quorumplace/internal/obs"
 )
 
@@ -133,32 +132,26 @@ func queueLookahead(cfg *QueueConfig, n, W int) float64 {
 // queueWorker is one shard of the windowed queueing engine, owning the
 // clients and nodes in [lo, hi).
 type queueWorker struct {
+	workerEnv
 	cfg         *QueueConfig
 	id          int
-	lo, hi      int
 	n           int
 	W           int
 	cdf         []float64
 	acc         float64
 	serviceMean []float64
-	rec         *Recorder
-	runID       int
-	slo         bool
-	sampleEvery int
-	traceSeed   uint64
-	ht          *heat.Sketch
-	sh          *obs.Shard
-	lat         *obs.LogHist // the shard's access-latency histogram, nil when off
 	peers       []*queueWorker
 
 	h            pqHeap
 	clientStream []prng
 	nodeStream   []prng
-	states       []accessState // owned clients × AccessesPerClient
-	inFlight     int
-	accesses     int
-	events       int64
-	lastAt       float64
+	// states is the owned clients' access table: client v's accesses
+	// occupy states[offset[v-lo]:offset[v-lo+1]].
+	states   []accessState
+	offset   []int
+	inFlight int
+	accesses int
+	events   int64
 
 	// Per-node FIFO state (owned node range only).
 	msgs         []pendingMsg
@@ -175,12 +168,6 @@ type queueWorker struct {
 	// outbox[d] buffers events destined for shard d, handed over at the
 	// next barrier.
 	outbox [][]pqEvent
-
-	latBuf   []latRec
-	traces   []keyedTrace
-	ts       *tsState
-	tsBuf    []TSample
-	accNodes []int
 }
 
 // owner returns the shard that owns an event: node events (arrival,
@@ -208,6 +195,7 @@ func (w *queueWorker) send(e pqEvent) {
 // streams, and schedules each client's first issue. Later issues enter
 // the heap one at a time as their predecessor is processed, keeping the
 // heap at one pending issue per client plus the messages in flight.
+// Clients that issue no accesses draw nothing and schedule nothing.
 func (w *queueWorker) seed() {
 	cfg := w.cfg
 	for i := range w.clientStream {
@@ -216,10 +204,12 @@ func (w *queueWorker) seed() {
 	for i := range w.nodeStream {
 		w.nodeStream[i] = newPRNG(cfg.Seed, streamService, w.lo+i)
 	}
-	apc := cfg.AccessesPerClient
 	for v := w.lo; v < w.hi; v++ {
 		st := &w.clientStream[v-w.lo]
-		states := w.states[(v-w.lo)*apc : (v-w.lo+1)*apc]
+		states := w.states[w.offset[v-w.lo]:w.offset[v-w.lo+1]]
+		if len(states) == 0 {
+			continue
+		}
 		t := 0.0
 		for a := range states {
 			t += st.ExpFloat64() / cfg.ArrivalRate
@@ -335,13 +325,13 @@ func (w *queueWorker) process(limit float64) {
 		e := w.h.pop()
 		w.events++
 		if w.ts != nil {
-			w.ts.advance(e.at, w.fillSample)
+			w.ts.advance(e.at)
 		}
 		w.lastAt = e.at
 		switch e.kind {
 		case 0: // client issues an access
-			idx := (e.client-w.lo)*cfg.AccessesPerClient + e.access
-			if e.access+1 < cfg.AccessesPerClient {
+			idx := w.offset[e.client-w.lo] + e.access
+			if idx+1 < w.offset[e.client-w.lo+1] {
 				w.h.push(pqEvent{at: w.states[idx+1].issuedAt, kind: 0, client: e.client, access: e.access + 1})
 			}
 			st := &w.states[idx]
@@ -397,7 +387,7 @@ func (w *queueWorker) process(limit float64) {
 				wait: e.wait, svc: e.svc, kind: 3,
 				client: e.client, access: e.access, node: e.node, slot: e.slot})
 		case 3: // response reaches the client
-			st := &w.states[(e.client-w.lo)*cfg.AccessesPerClient+e.access]
+			st := &w.states[w.offset[e.client-w.lo]+e.access]
 			st.remaining--
 			if st.tr != nil {
 				p := &st.tr.Probes[e.slot]
@@ -421,7 +411,7 @@ func (w *queueWorker) process(limit float64) {
 				if st.tr != nil {
 					st.tr.End = st.lastResp
 					st.tr.Latency = lat
-					markStraggler(st.tr)
+					markStraggler(st.tr.Mode, st.tr.Probes)
 					w.traces = append(w.traces, keyedTrace{at: st.lastResp, client: e.client, access: e.access, tr: *st.tr})
 					st.tr = nil
 				}
@@ -441,7 +431,6 @@ type qCmd struct {
 func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 	ins := cfg.Instance
 	n := ins.M.N()
-	cdf, acc := quorumCDF(ins)
 	serviceMean := make([]float64, n)
 	for v := 0; v < n; v++ {
 		if ins.Cap[v] > 0 {
@@ -461,56 +450,32 @@ func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 		}
 	}
 
-	sp := obs.Start("netsim.queueing")
-	defer sp.End()
-
-	rec := recorderFor(cfg.Recorder)
-	runID := 0
-	if rec != nil {
-		runID = rec.beginRun()
-	}
-	slo := rec != nil && rec.sloEnabled()
-	if slo {
-		rec.sloSetNodes(runID, n)
-	}
-	sampleEvery := 1
-	if rec != nil {
-		sampleEvery = rec.sampleEveryN()
-	}
-	ht := heatFor(cfg.Heat)
-	shards := heatShards(ht, W)
-	traceSeed := traceSeedFor(cfg.Seed)
+	env := beginRun("netsim.queueing", ins, cfg.AccessesPerClient, W, cfg.Seed, cfg.Recorder, cfg.Heat)
+	defer env.sp.End()
 
 	ws := make([]*queueWorker, W)
-	for i := 0; i < W; i++ {
-		lo, hi := i*n/W, (i+1)*n/W
+	for i := range ws {
 		w := &queueWorker{
-			cfg: &cfg, id: i, lo: lo, hi: hi, n: n, W: W,
-			cdf: cdf, acc: acc, serviceMean: serviceMean,
-			rec: rec, runID: runID, slo: slo,
-			sampleEvery: sampleEvery, traceSeed: traceSeed,
-			clientStream: make([]prng, hi-lo),
-			nodeStream:   make([]prng, hi-lo),
-			states:       make([]accessState, (hi-lo)*cfg.AccessesPerClient),
-			qHead:        make([]int, hi-lo),
-			qTail:        make([]int, hi-lo),
-			qLen:         make([]int, hi-lo),
-			busy:         make([]bool, hi-lo),
-			busyTime:     make([]float64, hi-lo),
-			waitPerNode:  make([]float64, hi-lo),
-			nodeHits:     make([]int64, n),
-			outbox:       make([][]pqEvent, W),
-			latBuf:       make([]latRec, 0, (hi-lo)*cfg.AccessesPerClient),
+			cfg: &cfg, id: i, n: n, W: W,
+			cdf: env.cdf, acc: env.cdfTotal, serviceMean: serviceMean,
+			nodeHits: make([]int64, n),
+			outbox:   make([][]pqEvent, W),
 		}
-		w.sh = obs.NewShard(sp)
-		w.lat = w.sh.Hist("netsim.access_latency")
-		if ht != nil {
-			w.ht = shards[i]
+		env.addWorker(&w.workerEnv, i, w)
+		owned := w.hi - w.lo
+		w.offset = make([]int, owned+1)
+		for v := w.lo; v < w.hi; v++ {
+			w.offset[v-w.lo+1] = w.offset[v-w.lo] + env.counts[v]
 		}
-		if slo || w.ht != nil {
-			w.accNodes = make([]int, 0, 16)
-		}
-		w.ts = newTSStateSink(rec, runID, func(s TSample) { w.tsBuf = append(w.tsBuf, s) })
+		w.clientStream = make([]prng, owned)
+		w.nodeStream = make([]prng, owned)
+		w.states = make([]accessState, w.offset[owned])
+		w.qHead = make([]int, owned)
+		w.qTail = make([]int, owned)
+		w.qLen = make([]int, owned)
+		w.busy = make([]bool, owned)
+		w.busyTime = make([]float64, owned)
+		w.waitPerNode = make([]float64, owned)
 		ws[i] = w
 	}
 	for _, w := range ws {
@@ -575,30 +540,18 @@ func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 	obs.Count("netsim.pdes_rounds", rounds)
 
 	stats := &QueueStats{Utilization: make([]float64, n)}
-	maxAt := 0.0
-	for _, w := range ws {
-		if w.lastAt > maxAt {
-			maxAt = w.lastAt
-		}
-	}
-	latBufs := make([][]latRec, W)
-	traceBufs := make([][]keyedTrace, W)
-	tsBufs := make([][]TSample, W)
 	var msgCount int
-	for i, w := range ws {
-		if w.ts != nil {
-			w.ts.advance(maxAt, w.fillSample)
-		}
+	for _, w := range ws {
 		stats.Accesses += w.accesses
 		msgCount += w.msgCount
-		latBufs[i] = w.latBuf
-		traceBufs[i] = w.traces
-		tsBufs[i] = w.tsBuf
 		w.sh.Count("netsim.events", w.events)
 		w.sh.GaugeMax("netsim.max_queue_depth", float64(w.maxNodeQueue))
-		w.sh.Merge()
 	}
-	stats.Clock = maxAt
+	clock, err := env.finish()
+	if err != nil {
+		return nil, err
+	}
+	stats.Clock = clock
 	// Per-node float accumulators fold in node index order — the same fold
 	// for every partition.
 	var waitSum float64
@@ -606,7 +559,7 @@ func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 		w := ws[shardOfEntity(v, n, W)]
 		waitSum += w.waitPerNode[v-w.lo]
 	}
-	latencySum := mergeLatRecs(latBufs, nil)
+	latencySum := env.latencySum(nil)
 	if stats.Accesses > 0 {
 		stats.AvgLatency = latencySum / float64(stats.Accesses)
 	}
@@ -618,14 +571,6 @@ func runQueueingSharded(cfg QueueConfig) (*QueueStats, error) {
 			w := ws[shardOfEntity(v, n, W)]
 			stats.Utilization[v] = w.busyTime[v-w.lo] / stats.Clock
 		}
-	}
-	if rec != nil {
-		traced := mergeTraces(rec, traceBufs)
-		obs.Count("netsim.traced_accesses", traced)
-		mergeSamples(rec, tsBufs)
-	}
-	if err := mergeHeatShards(ht, shards); err != nil {
-		return nil, err
 	}
 	return stats, nil
 }

@@ -3,283 +3,296 @@ package netsim
 import (
 	"sort"
 
-	"quorumplace/internal/heat"
-	"quorumplace/internal/obs"
+	"quorumplace/internal/graph"
+	"quorumplace/internal/placement"
+	"quorumplace/internal/quorum"
 )
 
-// Sharded engine for Run (see parallel.go for the determinism design).
-// Clients never interact in the propagation-only simulator — an access
-// touches only its own client's timeline plus commutative integer
-// aggregates — so the lookahead is unbounded and the shards run
-// barrier-free to completion, merging once at the end.
+// Propagation engine behind Run and RunWithFailures (see parallel.go for
+// the determinism design). Clients never interact in the propagation-only
+// simulators — an access touches only its own client's timeline plus
+// commutative integer aggregates — so the lookahead is unbounded and the
+// shards run barrier-free to completion, merging once at the end.
+//
+// Both simulators run the one access loop below. Run is its failure-free
+// case: no crash draws, one attempt, no penalty. RunWithFailures resamples
+// every node's crash state per access from the issuing client's private
+// stream, so each shard's draws are a pure function of its own clients'
+// access order and the outcome is invariant under the partition.
 
-// runWorker is the per-shard state of one propagation-simulator worker.
-type runWorker struct {
-	cfg         *Config
-	id          int
-	lo, hi      int // owned client index range
-	counts      []int
-	cdf         []float64
-	acc         float64
-	rec         *Recorder
-	runID       int
-	slo         bool
-	sampleEvery int
-	traceSeed   uint64
-	ht          *heat.Sketch // worker heat shard, nil when heat is off
-	sh          *obs.Shard   // worker telemetry shard, nil when telemetry is off
-	lat         *obs.LogHist // the shard's access-latency histogram, nil when off
+// accessWorker is one shard of the propagation engine.
+type accessWorker struct {
+	workerEnv
 
-	q          eventQueue
-	streams    []prng // one per owned client
-	accesses   int
-	messages   int64
-	events     int64
-	maxDepth   int
-	clock      float64
-	lastAt     float64 // at of the last processed event (nondecreasing)
-	nodeHits   []int64
-	perClient  []float64 // owned range only
-	perClientN []int
-	latBuf     []latRec
-	traces     []keyedTrace
-	ts         *tsState
-	tsBuf      []TSample
-	accNodes   []int
+	// Loop invariants, held in worker fields rather than behind the config.
+	mode     Mode
+	pl       placement.Placement
+	sys      *quorum.System
+	m        *graph.Metric
+	cdf      []float64
+	cdfTotal float64
+	nQ       int
+	counts   []int // accesses each client issues
+	seed     int64
+	think    float64 // mean think time between a client's accesses (Run)
+
+	// Failure model (RunWithFailures). alive is nil when nodes never
+	// crash, so failure-free runs make no crash draws.
+	failures   bool
+	failProb   float64
+	maxRetries int
+	penalty    float64
+	alive      []bool
+
+	q        eventQueue
+	streams  []prng // one per owned client
+	accesses int
+	aborted  int
+	retries  int64
+	noLive   int
+	maxDepth int
+	clock    float64
+	nodeHits []int64   // messages per node, probes of dead nodes included
+	latSum   []float64 // per owned client: summed latency of its successful accesses
+}
+
+// newAccessWorkers builds the workers of one propagation run; failure
+// runs record no time series.
+func newAccessWorkers(env *runEnv, ins *placement.Instance, pl placement.Placement, mode Mode, seed int64, failures bool) []*accessWorker {
+	ws := make([]*accessWorker, env.workers)
+	for i := range ws {
+		w := &accessWorker{
+			mode: mode, pl: pl, sys: ins.Sys, m: ins.M,
+			cdf: env.cdf, cdfTotal: env.cdfTotal, nQ: len(env.cdf),
+			counts: env.counts, seed: seed, failures: failures,
+			nodeHits: make([]int64, env.n),
+		}
+		var src sampleSource
+		if !failures {
+			src = w
+		}
+		env.addWorker(&w.workerEnv, i, src)
+		w.streams = make([]prng, w.hi-w.lo)
+		w.latSum = make([]float64, w.hi-w.lo)
+		ws[i] = w
+	}
+	return ws
 }
 
 // fillSample populates one time-series boundary with this shard's share of
 // the gauges; boundary samples merge additively across shards.
-func (w *runWorker) fillSample(at float64, s *TSample) {
+func (w *accessWorker) fillSample(at float64, s *TSample) {
 	w.ts.done.popTo(at)
 	s.InFlight = len(w.ts.done)
 	s.Accesses = w.accesses
 	s.NodeHits = append([]int64(nil), w.nodeHits...)
 }
 
-func (w *runWorker) run() {
-	cfg := w.cfg
-	ins := cfg.Instance
-	nQ := ins.Sys.NumQuorums()
+func (w *accessWorker) run() {
 	for i := range w.streams {
-		w.streams[i] = newPRNG(cfg.Seed, streamAccess, w.lo+i)
+		w.streams[i] = newPRNG(w.seed, streamAccess, w.lo+i)
 	}
 	for v := w.lo; v < w.hi; v++ {
-		if w.counts != nil && w.counts[v] == 0 {
-			continue
+		if w.counts[v] > 0 {
+			w.q.push(event{at: 0, client: v, access: 0})
 		}
-		w.q.push(event{at: 0, client: v, access: 0})
 	}
-	collectNodes := w.slo || w.ht != nil
+	// Every client holds at most one pending event, so the queue is never
+	// deeper than at the start.
+	w.maxDepth = len(w.q)
 	for len(w.q) > 0 {
-		if len(w.q) > w.maxDepth {
-			w.maxDepth = len(w.q)
-		}
-		e := w.q.pop()
-		w.events++
+		e := w.q[0]
 		if w.ts != nil {
-			w.ts.advance(e.at, w.fillSample)
+			w.ts.advance(e.at)
 		}
 		v := e.client
 		st := &w.streams[v-w.lo]
-		qi := sort.SearchFloat64s(w.cdf, st.Float64()*w.acc)
-		if qi >= nQ {
-			qi = nQ - 1
+		// Crash state for this access epoch, drawn from the client stream:
+		// the access's view of the world depends only on (seed, client,
+		// access), never on how accesses interleave globally.
+		if alive := w.alive; alive != nil {
+			// Draw on a local copy of the stream: the loop then keeps its
+			// state in a register instead of storing it every draw.
+			s, p := *st, w.failProb
+			for i := range alive {
+				alive[i] = s.Float64() >= p
+			}
+			*st = s
+			if !anyQuorumAlive(w.sys, w.pl, alive) {
+				w.noLive++
+			}
 		}
+		w.accesses++
 		var tr *AccessTrace
 		if w.rec != nil && shouldTraceDet(w.traceSeed, v, e.access, w.sampleEvery) {
-			tr = &AccessTrace{Run: w.runID, Client: v, Quorum: qi, Mode: cfg.Mode, Start: e.at}
-			tr.Probes = make([]ProbeSpan, 0, len(ins.Sys.Quorum(qi)))
+			tr = &AccessTrace{Run: w.runID, Client: v, Mode: w.mode, Start: e.at}
 		}
-		row := ins.M.Row(v)
-		var latency float64
+		row := w.m.Row(v)
 		w.accNodes = w.accNodes[:0]
-		for _, u := range ins.Sys.Quorum(qi) {
-			node := cfg.Placement.Node(u)
-			d := row[node]
-			w.nodeHits[node]++
-			w.messages++
-			if collectNodes {
-				w.accNodes = append(w.accNodes, node)
-			}
-			if tr != nil {
-				dispatch := e.at
-				if cfg.Mode == Sequential {
-					dispatch += latency
+		qi, elapsed, ok := w.attempt(st, row, e.at, tr)
+		retries := 0
+		if !ok {
+			// Retry with freshly sampled quorums, each failed attempt
+			// charging one penalty, until one succeeds or the budget is
+			// spent; an exhausted access is charged every penalty.
+			penalty := w.penalty
+			for retries < w.maxRetries {
+				retries++
+				var latency float64
+				qi, latency, ok = w.attempt(st, row, e.at+penalty, tr)
+				if ok {
+					elapsed = latency + penalty
+					break
 				}
-				tr.Probes = append(tr.Probes, ProbeSpan{
-					Member: u, Node: node,
-					Dispatch: dispatch, NetDelay: d, Complete: dispatch + d,
-				})
+				penalty += w.penalty
 			}
-			switch cfg.Mode {
-			case Parallel:
-				if d > latency {
-					latency = d
-				}
-			case Sequential:
-				latency += d
+			if !ok {
+				elapsed = penalty
 			}
+			w.retries += int64(retries)
 		}
-		done := e.at + latency
+		done := e.at + elapsed
+		if ok {
+			w.latBuf = append(w.latBuf, latRec{at: e.at, lat: elapsed, client: int32(v)})
+			w.latSum[v-w.lo] += elapsed
+			if w.lat != nil {
+				w.lat.Observe(elapsed)
+			}
+		} else {
+			w.aborted++
+		}
 		if done > w.clock {
 			w.clock = done
 		}
-		w.accesses++
-		w.latBuf = append(w.latBuf, latRec{at: e.at, lat: latency, client: int32(v)})
-		w.perClient[v-w.lo] += latency
-		w.perClientN[v-w.lo]++
-		if w.lat != nil {
-			w.lat.Observe(latency)
-		}
 		if w.slo {
-			w.rec.sloAccess(w.runID, done, latency, 0, false, w.accNodes)
+			w.rec.sloAccess(w.runID, done, elapsed, int64(retries), !ok, w.accNodes)
 		}
 		if w.ht != nil {
 			w.ht.Observe(e.at, v, w.accNodes)
 		}
 		if tr != nil {
+			tr.Attempts = retries
+			if ok {
+				tr.Quorum = qi
+			} else {
+				tr.Attempts++
+				tr.Aborted = true
+			}
+			tr.Latency = elapsed
 			tr.End = done
-			tr.Latency = latency
-			markStraggler(tr)
 			w.traces = append(w.traces, keyedTrace{at: e.at, client: v, access: e.access, tr: *tr})
 		}
 		if w.ts != nil {
 			w.ts.done.push(done)
 		}
 		w.lastAt = e.at
-		limit := cfg.AccessesPerClient
-		if w.counts != nil {
-			limit = w.counts[v]
-		}
-		if e.access+1 < limit {
-			think := 0.0
-			if cfg.InterAccessTime > 0 {
-				think = st.ExpFloat64() * cfg.InterAccessTime
+		if e.access+1 < w.counts[v] {
+			if w.think > 0 {
+				done += st.ExpFloat64() * w.think
 			}
-			w.q.push(event{at: done + think, client: v, access: e.access + 1})
+			w.q.replaceTop(event{at: done, client: v, access: e.access + 1})
+		} else {
+			w.q.pop()
 		}
 	}
-	w.sh.Count("netsim.events", w.events)
-	w.sh.Count("netsim.messages", w.messages)
+	w.sh.Count("netsim.events", int64(w.accesses))
+	if w.failures {
+		w.sh.Count("netsim.retries", w.retries)
+		return
+	}
+	var messages int64
+	for _, h := range w.nodeHits {
+		messages += h
+	}
+	w.sh.Count("netsim.messages", messages)
 	w.sh.GaugeMax("netsim.max_queue_depth", float64(w.maxDepth))
 }
 
-// mergeLatRecs k-way merges the workers' canonically ordered latency
-// buffers and returns the latency sum folded in the merged order — the
-// same fold for every worker count, hence the same bits. When out is
-// non-nil the merged latencies are stored there too.
-func mergeLatRecs(bufs [][]latRec, out *[]float64) float64 {
-	idx := make([]int, len(bufs))
-	if out != nil {
-		total := 0
-		for _, b := range bufs {
-			total += len(b)
-		}
-		*out = make([]float64, 0, total)
+// attempt samples one quorum from the client's stream and probes its
+// members from virtual time start, appending the probes to tr when the
+// access is traced. It returns the sampled quorum, the attempt's latency
+// and whether every member was alive; the first dead member ends the
+// attempt. A successful attempt marks its straggler within its own probes.
+func (w *accessWorker) attempt(st *prng, row []float64, start float64, tr *AccessTrace) (int, float64, bool) {
+	qi := sort.SearchFloat64s(w.cdf, st.Float64()*w.cdfTotal)
+	if qi >= w.nQ {
+		qi = w.nQ - 1
 	}
-	var sum float64
-	for {
-		best := -1
-		for w, b := range bufs {
-			if idx[w] >= len(b) {
-				continue
-			}
-			if best < 0 || latLess(b[idx[w]], bufs[best][idx[best]]) {
-				best = w
-			}
+	members := w.sys.Quorum(qi)
+	first := 0
+	if tr != nil {
+		first = len(tr.Probes)
+		if tr.Probes == nil {
+			tr.Probes = make([]ProbeSpan, 0, len(members))
 		}
-		if best < 0 {
-			return sum
-		}
-		r := bufs[best][idx[best]]
-		if out != nil {
-			*out = append(*out, r.lat)
-		}
-		sum += r.lat
-		idx[best]++
 	}
+	parallel := w.mode == Parallel
+	nodeHits, alive, accNodes := w.nodeHits, w.alive, w.accNodes
+	var latency float64
+	for _, u := range members {
+		node := w.pl.Node(u)
+		nodeHits[node]++
+		if accNodes != nil {
+			accNodes = append(accNodes, node)
+		}
+		if alive != nil && !alive[node] {
+			if tr != nil {
+				dispatch := start
+				if !parallel {
+					dispatch += latency
+				}
+				tr.Probes = append(tr.Probes, ProbeSpan{
+					Member: u, Node: node, Dispatch: dispatch,
+					Complete: dispatch, Failed: true,
+				})
+			}
+			w.accNodes = accNodes
+			return qi, latency, false
+		}
+		d := row[node]
+		if tr != nil {
+			dispatch := start
+			if !parallel {
+				dispatch += latency
+			}
+			tr.Probes = append(tr.Probes, ProbeSpan{
+				Member: u, Node: node,
+				Dispatch: dispatch, NetDelay: d, Complete: dispatch + d,
+			})
+		}
+		if parallel {
+			if d > latency {
+				latency = d
+			}
+		} else {
+			latency += d
+		}
+	}
+	w.accNodes = accNodes
+	if tr != nil {
+		markStraggler(w.mode, tr.Probes[first:])
+	}
+	return qi, latency, true
 }
 
-// runSharded is the engine behind Run.
+// runSharded is the engine behind Run: the access loop without failures.
 func runSharded(cfg Config) (*Stats, error) {
 	ins := cfg.Instance
 	n := ins.M.N()
-	var counts []int
-	if ins.Rates != nil {
-		counts = clientAccessCounts(ins.Rates, n, cfg.AccessesPerClient)
+	env := beginRun("netsim.run", ins, cfg.AccessesPerClient, clampWorkers(cfg.Workers, n), cfg.Seed, cfg.Recorder, cfg.Heat)
+	defer env.sp.End()
+	ws := newAccessWorkers(&env, ins, cfg.Placement, cfg.Mode, cfg.Seed, false)
+	for _, w := range ws {
+		w.think = cfg.InterAccessTime
 	}
-	cdf, acc := quorumCDF(ins)
-	W := clampWorkers(cfg.Workers, n)
-
-	sp := obs.Start("netsim.run")
-	defer sp.End()
-
-	rec := recorderFor(cfg.Recorder)
-	runID := 0
-	if rec != nil {
-		runID = rec.beginRun()
-	}
-	slo := rec != nil && rec.sloEnabled()
-	if slo {
-		rec.sloSetNodes(runID, n)
-	}
-	sampleEvery := 1
-	if rec != nil {
-		sampleEvery = rec.sampleEveryN()
-	}
-	ht := heatFor(cfg.Heat)
-	shards := heatShards(ht, W)
-	traceSeed := traceSeedFor(cfg.Seed)
-
-	ws := make([]*runWorker, W)
-	for i := 0; i < W; i++ {
-		lo, hi := i*n/W, (i+1)*n/W
-		w := &runWorker{
-			cfg: &cfg, id: i, lo: lo, hi: hi,
-			counts: counts, cdf: cdf, acc: acc,
-			rec: rec, runID: runID, slo: slo,
-			sampleEvery: sampleEvery, traceSeed: traceSeed,
-			streams:    make([]prng, hi-lo),
-			nodeHits:   make([]int64, n),
-			perClient:  make([]float64, hi-lo),
-			perClientN: make([]int, hi-lo),
-			latBuf:     make([]latRec, 0, ownedAccesses(counts, cfg.AccessesPerClient, lo, hi)),
-		}
-		w.sh = obs.NewShard(sp)
-		w.lat = w.sh.Hist("netsim.access_latency")
-		if ht != nil {
-			w.ht = shards[i]
-		}
-		if slo || w.ht != nil {
-			w.accNodes = make([]int, 0, 16)
-		}
-		w.ts = newTSStateSink(rec, runID, func(s TSample) { w.tsBuf = append(w.tsBuf, s) })
-		ws[i] = w
-	}
-	runWorkers(W, func(i int) { ws[i].run() })
+	runWorkers(len(ws), func(i int) { ws[i].run() })
 
 	stats := &Stats{
 		Mode:      cfg.Mode,
 		PerClient: make([]float64, n),
 		NodeHits:  make([]int64, n),
 	}
-	// Trailing time-series boundaries: a shard whose events ended early
-	// still owes samples up to the globally last event, filled from its
-	// (final) local state.
-	maxAt := 0.0
 	for _, w := range ws {
-		if w.lastAt > maxAt {
-			maxAt = w.lastAt
-		}
-	}
-	latBufs := make([][]latRec, W)
-	traceBufs := make([][]keyedTrace, W)
-	tsBufs := make([][]TSample, W)
-	for i, w := range ws {
-		if w.ts != nil {
-			w.ts.advance(maxAt, w.fillSample)
-		}
 		stats.Accesses += w.accesses
 		if w.clock > stats.Clock {
 			stats.Clock = w.clock
@@ -288,27 +301,58 @@ func runSharded(cfg Config) (*Stats, error) {
 			stats.NodeHits[v] += w.nodeHits[v]
 		}
 		for v := w.lo; v < w.hi; v++ {
-			if c := w.perClientN[v-w.lo]; c > 0 {
-				stats.PerClient[v] = w.perClient[v-w.lo] / float64(c)
+			if c := w.counts[v]; c > 0 {
+				stats.PerClient[v] = w.latSum[v-w.lo] / float64(c)
 			}
 		}
-		latBufs[i] = w.latBuf
-		traceBufs[i] = w.traces
-		tsBufs[i] = w.tsBuf
-		w.sh.Merge()
 	}
-	stats.AvgLatency = mergeLatRecs(latBufs, &stats.latencies) / float64(stats.Accesses)
+	stats.AvgLatency = env.latencySum(&stats.latencies) / float64(stats.Accesses)
 	stats.EmpiricalLoad = make([]float64, n)
 	totalAccesses := float64(stats.Accesses)
 	for v := 0; v < n; v++ {
 		stats.EmpiricalLoad[v] = float64(stats.NodeHits[v]) / totalAccesses
 	}
-	if rec != nil {
-		traced := mergeTraces(rec, traceBufs)
-		obs.Count("netsim.traced_accesses", traced)
-		mergeSamples(rec, tsBufs)
+	if _, err := env.finish(); err != nil {
+		return nil, err
 	}
-	if err := mergeHeatShards(ht, shards); err != nil {
+	return stats, nil
+}
+
+// runFailuresSharded is the engine behind RunWithFailures.
+func runFailuresSharded(cfg FailureConfig) (*FailureStats, error) {
+	ins := cfg.Instance
+	n := ins.M.N()
+	env := beginRun("netsim.failures", ins, cfg.AccessesPerClient, clampWorkers(cfg.Workers, n), cfg.Seed, cfg.Recorder, cfg.Heat)
+	defer env.sp.End()
+	ws := newAccessWorkers(&env, ins, cfg.Placement, cfg.Mode, cfg.Seed, true)
+	for _, w := range ws {
+		w.failProb = cfg.NodeFailureProb
+		w.maxRetries = cfg.MaxRetries
+		w.penalty = cfg.RetryPenalty
+		if cfg.NodeFailureProb > 0 {
+			w.alive = make([]bool, n)
+		}
+	}
+	runWorkers(len(ws), func(i int) { ws[i].run() })
+
+	stats := &FailureStats{}
+	var noLive int
+	for _, w := range ws {
+		stats.Accesses += w.accesses
+		stats.FailedOutright += w.aborted
+		stats.Retries += int(w.retries)
+		noLive += w.noLive
+	}
+	stats.Succeeded = stats.Accesses - stats.FailedOutright
+	// Fold the successful-latency sum over the canonically merged stream so
+	// the float bits are independent of the partition.
+	latencySum := env.latencySum(nil)
+	stats.SuccessRate = float64(stats.Succeeded) / float64(stats.Accesses)
+	if stats.Succeeded > 0 {
+		stats.AvgLatency = latencySum / float64(stats.Succeeded)
+	}
+	stats.EmpiricalUnavail = float64(noLive) / float64(stats.Accesses)
+	if _, err := env.finish(); err != nil {
 		return nil, err
 	}
 	return stats, nil

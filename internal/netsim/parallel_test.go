@@ -149,27 +149,35 @@ func TestShardedFailuresWorkerInvariance(t *testing.T) {
 
 func TestShardedQueueingWorkerInvariance(t *testing.T) {
 	ins, p := buildInstance(t)
-	run := func(workers int, rec *Recorder, ht *heat.Sketch) interface{} {
-		stats, err := RunQueueing(QueueConfig{
-			Instance: ins, Placement: p,
-			ArrivalRate: 0.8, ServiceMean: 0.2,
-			AccessesPerClient: 30, Seed: 17,
-			Workers: workers, Recorder: rec, Heat: ht,
-		})
-		if err != nil {
+	defer func() { ins.Rates = nil }()
+	// Weighted clients, one of them idle, exercise the per-client offsets
+	// into the access-state table.
+	for _, rates := range [][]float64{nil, {3, 1, 0, 1, 2, 1, 1, 1, 1}} {
+		if err := ins.SetRates(rates); err != nil {
 			t.Fatal(err)
 		}
-		return stats
-	}
-	ref := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(1, rec, ht) })
-	for w := 2; w <= 8; w++ {
-		got := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(w, rec, ht) })
-		checkInvariant(t, "queueing/telemetry", ref, got, w)
-	}
-	bare := run(1, nil, nil)
-	for w := 2; w <= 8; w++ {
-		if got := run(w, nil, nil); !reflect.DeepEqual(bare, got) {
-			t.Errorf("queueing/bare: workers=%d stats differ from workers=1", w)
+		run := func(workers int, rec *Recorder, ht *heat.Sketch) interface{} {
+			stats, err := RunQueueing(QueueConfig{
+				Instance: ins, Placement: p,
+				ArrivalRate: 0.8, ServiceMean: 0.2,
+				AccessesPerClient: 30, Seed: 17,
+				Workers: workers, Recorder: rec, Heat: ht,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats
+		}
+		ref := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(1, rec, ht) })
+		for w := 2; w <= 8; w++ {
+			got := runWithTelemetry(t, func(rec *Recorder, ht *heat.Sketch) interface{} { return run(w, rec, ht) })
+			checkInvariant(t, "queueing/telemetry", ref, got, w)
+		}
+		bare := run(1, nil, nil)
+		for w := 2; w <= 8; w++ {
+			if got := run(w, nil, nil); !reflect.DeepEqual(bare, got) {
+				t.Errorf("queueing/bare: workers=%d stats differ from workers=1", w)
+			}
 		}
 	}
 }

@@ -35,7 +35,11 @@ type QueueConfig struct {
 	// message at a capacity-1 node; node v serves with mean
 	// ServiceMean/cap(v), so higher-capacity nodes are faster. Zero means
 	// instantaneous service (pure propagation delay).
-	ServiceMean       float64
+	ServiceMean float64
+	// AccessesPerClient is the number of accesses each client issues; as
+	// in Run, setting Instance.Rates gives each client its
+	// rate-proportional share of the n·AccessesPerClient total instead
+	// (zero-rate clients issue none), each at ArrivalRate.
 	AccessesPerClient int
 	Seed              int64
 	// Recorder, when non-nil, captures per-access traces (with queue-wait

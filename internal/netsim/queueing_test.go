@@ -2,9 +2,11 @@ package netsim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"quorumplace/internal/graph"
+	"quorumplace/internal/heat"
 	"quorumplace/internal/placement"
 	"quorumplace/internal/quorum"
 )
@@ -177,5 +179,89 @@ func TestQueueingAllAccessesComplete(t *testing.T) {
 	}
 	if want := 100 * ins.M.N(); stats.Accesses != want {
 		t.Fatalf("completed %d accesses, want %d", stats.Accesses, want)
+	}
+}
+
+// TestQueueingHonoursRates is the regression test for the queueing
+// simulator ignoring Instance.Rates: with the whole rate mass on one
+// client, that client issues every access — as under Run — and the
+// zero-rate clients issue none.
+func TestQueueingHonoursRates(t *testing.T) {
+	ins, p := buildInstance(t)
+	defer func() { ins.Rates = nil }()
+	const apc = 10
+	n := ins.M.N()
+	rates := make([]float64, n)
+	rates[4] = 1
+	if err := ins.SetRates(rates); err != nil {
+		t.Fatal(err)
+	}
+	runHeat := heat.New(heat.Options{})
+	if _, err := Run(Config{Instance: ins, Placement: p, AccessesPerClient: apc, Seed: 5, Heat: runHeat}); err != nil {
+		t.Fatal(err)
+	}
+	rec := NewRecorder(4096, 1, 0)
+	qHeat := heat.New(heat.Options{})
+	stats, err := RunQueueing(QueueConfig{
+		Instance: ins, Placement: p,
+		ArrivalRate: 0.5, ServiceMean: 0.2,
+		AccessesPerClient: apc, Seed: 5, Recorder: rec, Heat: qHeat,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Accesses != n*apc {
+		t.Fatalf("queueing completed %d accesses, want %d", stats.Accesses, n*apc)
+	}
+	want := make([]int64, n)
+	want[4] = int64(n * apc)
+	for name, ht := range map[string]*heat.Sketch{"run": runHeat, "queueing": qHeat} {
+		got := ht.ClientTotals()
+		for v := 0; v < n; v++ {
+			var c int64
+			if v < len(got) {
+				c = got[v]
+			}
+			if c != want[v] {
+				t.Fatalf("%s: client %d issued %d accesses, want %d (totals %v)", name, v, c, want[v], got)
+			}
+		}
+	}
+	for _, tr := range rec.Traces() {
+		if tr.Client != 4 {
+			t.Fatalf("zero-rate client %d issued an access", tr.Client)
+		}
+	}
+}
+
+// TestQueueingUniformRatesMatchNil: explicit uniform rates apportion the
+// same count to every client, so the run reproduces the unweighted one
+// bit for bit.
+func TestQueueingUniformRatesMatchNil(t *testing.T) {
+	ins, p := buildInstance(t)
+	defer func() { ins.Rates = nil }()
+	run := func() (*QueueStats, []AccessTrace) {
+		rec := NewRecorder(4096, 1, 0)
+		stats, err := RunQueueing(QueueConfig{
+			Instance: ins, Placement: p,
+			ArrivalRate: 0.5, ServiceMean: 0.2,
+			AccessesPerClient: 20, Seed: 9, Recorder: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, rec.Traces()
+	}
+	baseStats, baseTraces := run()
+	uni := make([]float64, ins.M.N())
+	for i := range uni {
+		uni[i] = 0.1
+	}
+	if err := ins.SetRates(uni); err != nil {
+		t.Fatal(err)
+	}
+	stats, traces := run()
+	if !reflect.DeepEqual(baseStats, stats) || !reflect.DeepEqual(baseTraces, traces) {
+		t.Fatalf("uniform explicit rates diverge from nil rates: %+v vs %+v", stats, baseStats)
 	}
 }

@@ -290,26 +290,13 @@ func DefaultRecorder() *Recorder {
 	return defaultRecorder.Load()
 }
 
-// recorderFor resolves the recorder a run should use.
-func recorderFor(explicit *Recorder) *Recorder {
-	if explicit != nil {
-		return explicit
-	}
-	return defaultRecorder.Load()
-}
-
 // --- straggler marking --------------------------------------------------------
 
 // markStraggler flags the probe that determined the access latency: the
 // latest completion under the max-delay model, the longest individual delay
-// under the total-delay model. Failed probes never count.
-func markStraggler(tr *AccessTrace) {
-	markStragglerIn(tr.Mode, tr.Probes)
-}
-
-// markStragglerIn marks the straggler within one probe window (used by the
-// failure simulator to consider only the final successful attempt).
-func markStragglerIn(mode Mode, probes []ProbeSpan) {
+// under the total-delay model. Failed probes never count; a retried access
+// passes only its successful attempt's probes.
+func markStraggler(mode Mode, probes []ProbeSpan) {
 	best := -1
 	var bestVal float64
 	for i := range probes {
@@ -339,31 +326,38 @@ type tsState struct {
 	run      int
 	interval float64
 	next     float64
-	// emit receives the samples, into a worker-local buffer: every worker
-	// walks the identical boundary sequence, so buffered samples merge
-	// boundary-by-boundary after the join (mergeSamples).
-	emit func(TSample)
+	// src populates the per-simulator gauges of each sample.
+	src sampleSource
+	// buf holds the worker's samples: every worker walks the identical
+	// boundary sequence, so buffered samples merge boundary-by-boundary
+	// after the join (mergeSamples).
+	buf []TSample
 	// completion-time min-heap of in-flight accesses (propagation sims,
 	// where completion is not itself an event).
 	done fheap
 }
 
-// newTSStateSink returns the sampler of one worker, routing samples to
-// emit, or nil when rec records no time series.
-func newTSStateSink(rec *Recorder, run int, emit func(TSample)) *tsState {
+// sampleSource is a worker whose state fills the time-series gauges
+// (queue depths, in-flight count) of a sample at virtual time at.
+type sampleSource interface {
+	fillSample(at float64, s *TSample)
+}
+
+// newTSState returns the sampler of one worker, or nil when rec records
+// no time series.
+func newTSState(rec *Recorder, run int, src sampleSource) *tsState {
 	if rec == nil || rec.tsInterval <= 0 {
 		return nil
 	}
-	return &tsState{run: run, interval: rec.tsInterval, next: rec.tsInterval, emit: emit}
+	return &tsState{run: run, interval: rec.tsInterval, next: rec.tsInterval, src: src}
 }
 
-// advance emits samples for every boundary ≤ now; fill populates the
-// per-simulator gauges of the sample (queue depths, in-flight count).
-func (t *tsState) advance(now float64, fill func(at float64, s *TSample)) {
+// advance emits samples for every boundary ≤ now.
+func (t *tsState) advance(now float64) {
 	for t.next <= now {
 		s := TSample{Run: t.run, At: t.next}
-		fill(t.next, &s)
-		t.emit(s)
+		t.src.fillSample(t.next, &s)
+		t.buf = append(t.buf, s)
 		t.next += t.interval
 	}
 }

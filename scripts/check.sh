@@ -20,6 +20,9 @@ fi
 echo "== go test"
 go test ./...
 
+echo "== benchmark module (its own go.mod, so the root ./... skips it)"
+(cd benchmark && go vet ./... && go test ./...)
+
 echo "== fuzz smoke (invariant auditor, bounded)"
 # Each target explores seeds beyond the deterministic sweep for a bounded
 # time (FUZZTIME to override). The corpora under internal/check/testdata/fuzz
