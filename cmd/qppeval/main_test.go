@@ -194,3 +194,45 @@ func (s *syncBuffer) String() string {
 	defer s.mu.Unlock()
 	return s.b.String()
 }
+
+// TestExperimentsAppendixCurrent keeps EXPERIMENTS.md honest: the fenced
+// block under "## Full output" must be byte for byte what
+// `qppeval -seed 1` prints today. Regenerate it with
+// `go run ./cmd/qppeval -seed 1` when an experiment's output changes.
+func TestExperimentsAppendixCurrent(t *testing.T) {
+	doc, err := os.ReadFile(filepath.Join("..", "..", "EXPERIMENTS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const head = "## Full output (`go run ./cmd/qppeval -seed 1`)\n\n```\n"
+	i := bytes.Index(doc, []byte(head))
+	if i < 0 {
+		t.Fatalf("EXPERIMENTS.md has no %q section", head)
+	}
+	block := doc[i+len(head):]
+	j := bytes.Index(block, []byte("\n```"))
+	if j < 0 {
+		t.Fatal("EXPERIMENTS.md full-output block is not closed")
+	}
+	block = block[:j+1]
+	var out, errOut bytes.Buffer
+	if err := run([]string{"-seed", "1"}, &out, &errOut); err != nil {
+		t.Fatalf("qppeval -seed 1: %v\n%s", err, errOut.String())
+	}
+	if got := out.Bytes(); !bytes.Equal(got, block) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(block), "\n")
+		for k := 0; k < len(gl) || k < len(wl); k++ {
+			var g, w string
+			if k < len(gl) {
+				g = gl[k]
+			}
+			if k < len(wl) {
+				w = wl[k]
+			}
+			if g != w {
+				t.Fatalf("EXPERIMENTS.md appendix is stale at line %d of the block:\n got %q\nwant %q\n(regenerate with go run ./cmd/qppeval -seed 1)", k+1, g, w)
+			}
+		}
+		t.Fatal("EXPERIMENTS.md appendix differs from qppeval -seed 1")
+	}
+}

@@ -198,7 +198,9 @@ func runServer(c serverConfig, stdout, stderr io.Writer) error {
 				alpha = 1
 			}
 		}
-		ingestRamp(d, ins, wrng, c.accesses, alpha, hot, float64(t))
+		if err := ingestRamp(d, ins, wrng, c.accesses, alpha, hot, float64(t)); err != nil {
+			return err
+		}
 		rec, err := d.Tick()
 		if err != nil {
 			return err
@@ -218,7 +220,7 @@ func runServer(c serverConfig, stdout, stderr io.Writer) error {
 // ingestRamp feeds one tick's access batch: each access picks a hot-set
 // client with probability alpha (uniform otherwise), and contacts a
 // uniformly chosen quorum of the system.
-func ingestRamp(d *qp.PlacementDaemon, ins *qp.Instance, rng *rand.Rand, accesses int, alpha float64, hot int, tick float64) {
+func ingestRamp(d *qp.PlacementDaemon, ins *qp.Instance, rng *rand.Rand, accesses int, alpha float64, hot int, tick float64) error {
 	sys := ins.Sys
 	n := ins.M.N()
 	for i := 0; i < accesses; i++ {
@@ -228,8 +230,11 @@ func ingestRamp(d *qp.PlacementDaemon, ins *qp.Instance, rng *rand.Rand, accesse
 		}
 		q := sys.Quorum(rng.Intn(sys.NumQuorums()))
 		at := tick + float64(i)/float64(accesses)
-		d.Observe(at, v, q)
+		if err := d.Observe(at, v, q); err != nil {
+			return err
+		}
 	}
+	return nil
 }
 
 func runClient(base string, inspect, apply bool, setLambda string, stdout io.Writer) error {

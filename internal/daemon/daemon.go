@@ -238,12 +238,54 @@ func (d *Daemon) now() float64 {
 }
 
 // Observe records one client access (to the given quorum's nodes) at
-// daemon-relative virtual time at, offset by the current epoch base.
-func (d *Daemon) Observe(at float64, client int, nodes []int) {
+// daemon-relative virtual time at, offset by the current epoch base. It
+// records nothing and returns an error unless the client and every node
+// lie in [0, n) and at is finite and non-negative.
+func (d *Daemon) Observe(at float64, client int, nodes []int) error {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	base := d.now()
-	d.mu.Unlock()
+	if err := d.checkObservation(base, at, client, nodes); err != nil {
+		return err
+	}
 	d.sketch.Observe(base+at, client, nodes)
+	return nil
+}
+
+// observeBatch records a batch of accesses all or nothing: every entry is
+// checked first, and a bad one rejects the whole batch, named by index.
+func (d *Daemon) observeBatch(batch []observeReq) error {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	base := d.now()
+	for i, o := range batch {
+		if err := d.checkObservation(base, o.At, o.Client, o.Nodes); err != nil {
+			return fmt.Errorf("entry %d: %w", i, err)
+		}
+	}
+	for _, o := range batch {
+		d.sketch.Observe(base+o.At, o.Client, o.Nodes)
+	}
+	return nil
+}
+
+// checkObservation validates one access from outside input. Indices past
+// the network would grow the sketch's dense slices, and a time whose epoch
+// index overflows int64 has no epoch. Callers hold d.mu.
+func (d *Daemon) checkObservation(base, at float64, client int, nodes []int) error {
+	n := d.ins.M.N()
+	if client < 0 || client >= n {
+		return fmt.Errorf("daemon: client %d outside [0, %d)", client, n)
+	}
+	for _, v := range nodes {
+		if v < 0 || v >= n {
+			return fmt.Errorf("daemon: node %d outside [0, %d)", v, n)
+		}
+	}
+	if math.IsNaN(at) || math.IsInf(at, 0) || at < 0 || (base+at)/d.sketch.EpochLen() >= 0x1p63 {
+		return fmt.Errorf("daemon: time %v, want finite and >= 0", at)
+	}
+	return nil
 }
 
 // IngestSketch folds a run-local sketch (virtual clock starting at zero,

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"quorumplace/internal/graph"
@@ -383,5 +386,84 @@ func TestDaemonHTTP(t *testing.T) {
 	}
 	if resp := postJSON("/status", nil, nil); resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("POST /status: %s", resp.Status)
+	}
+}
+
+// TestObserveRejectsOutsideInput pins that Observe records nothing from an
+// access whose client or node index lies outside [0, n) or whose time is
+// not finite and non-negative.
+func TestObserveRejectsOutsideInput(t *testing.T) {
+	d := newDaemon(t, 7, Config{})
+	n := d.ins.M.N()
+	bad := []struct {
+		at     float64
+		client int
+		nodes  []int
+	}{
+		{0.5, n, nil},
+		{0.5, -1, nil},
+		{0.5, 0, []int{1, n}},
+		{0.5, 0, []int{-1}},
+		{-1, 0, nil},
+		{math.NaN(), 0, nil},
+		{math.Inf(1), 0, nil},
+		{1e300, 0, nil},
+	}
+	for _, b := range bad {
+		if err := d.Observe(b.at, b.client, b.nodes); err == nil {
+			t.Errorf("Observe(%v, %d, %v) accepted", b.at, b.client, b.nodes)
+		}
+	}
+	if got := d.sketch.Accesses(); got != 0 {
+		t.Fatalf("rejected observations recorded %d accesses", got)
+	}
+	if got := len(d.sketch.ClientTotals()) + len(d.sketch.NodeTotals()); got != 0 {
+		t.Fatalf("rejected observations grew the sketch to %d slots", got)
+	}
+	if err := d.Observe(0.5, n-1, []int{0, n - 1}); err != nil {
+		t.Fatalf("valid observation rejected: %v", err)
+	}
+	if d.sketch.Accesses() != 1 || d.sketch.Messages() != 2 {
+		t.Fatalf("valid observation: %d accesses, %d messages", d.sketch.Accesses(), d.sketch.Messages())
+	}
+}
+
+// TestObserveHTTPRejectsBadBatch pins POST /observe's all-or-nothing
+// contract: one bad entry answers 400 naming it and ingests nothing.
+func TestObserveHTTPRejectsBadBatch(t *testing.T) {
+	d := newDaemon(t, 7, Config{})
+	n := d.ins.M.N()
+	post := func(batch []observeReq) *httptest.ResponseRecorder {
+		t.Helper()
+		b, err := json.Marshal(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		d.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/observe", bytes.NewReader(b)))
+		return w
+	}
+	for _, batch := range [][]observeReq{
+		{{At: 0.1, Client: 0}, {At: 0.2, Client: n}, {At: 0.3, Client: 1}},
+		{{At: 0.1, Client: 0}, {At: 0.2, Client: 1, Nodes: []int{n}}},
+		{{At: 0.1, Client: 0}, {At: -0.2, Client: 1}},
+	} {
+		w := post(batch)
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("bad batch %+v: status %d, want 400", batch, w.Code)
+		}
+		if !strings.Contains(w.Body.String(), "entry 1") {
+			t.Fatalf("bad batch: error %q does not name entry 1", w.Body.String())
+		}
+	}
+	if got := d.sketch.Accesses(); got != 0 {
+		t.Fatalf("rejected batches ingested %d accesses", got)
+	}
+	w := post([]observeReq{{At: 0.1, Client: 0, Nodes: []int{1}}, {At: 0.2, Client: n - 1}})
+	if w.Code != http.StatusOK || !strings.Contains(w.Body.String(), `"ingested": 2`) {
+		t.Fatalf("valid batch: status %d body %q", w.Code, w.Body.String())
+	}
+	if d.sketch.Accesses() != 2 {
+		t.Fatalf("valid batch ingested %d accesses, want 2", d.sketch.Accesses())
 	}
 }

@@ -67,6 +67,7 @@ func (d *Daemon) Status() Status {
 //	POST /tick       run one tick, respond with its TickRecord
 //	POST /lambda     {"lambda": x} retune the movement weight
 //	POST /observe    [{"at":t,"client":u,"nodes":[...]}, ...] ingest accesses
+//	                 (all or none: 400 names the first invalid entry)
 //	GET  /metrics    Prometheus text exposition (internal/obs/export)
 //	GET  /metrics.json
 func (d *Daemon) Handler() http.Handler {
@@ -151,8 +152,9 @@ func (d *Daemon) Handler() http.Handler {
 			http.Error(w, "bad body: "+err.Error(), http.StatusBadRequest)
 			return
 		}
-		for _, o := range body {
-			d.Observe(o.At, o.Client, o.Nodes)
+		if err := d.observeBatch(body); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
 		}
 		writeJSON(w, map[string]int{"ingested": len(body)})
 	})

@@ -14,6 +14,11 @@ import (
 // repeated solves reuse the previous optimal basis through lp.SolveHot —
 // the incremental path of the daemon's per-tick shard re-planning.
 //
+// Skeleton is the package's only LP entry. A one-shot solve is a fresh
+// skeleton's first solve: cold, with the same pivots as lp.Problem.Solve,
+// plus the cost of the dedicated workspace and the warm-start snapshot it
+// records for a re-solve that never comes.
+//
 // The allowed-pair pattern is fixed at construction from the instance's
 // Load matrix: a +Inf load never gets a variable. Later capacity edits may
 // only shrink or grow the machine budgets (the RHS); they cannot forbid new
@@ -23,7 +28,6 @@ type Skeleton struct {
 	// value records through the ambient package-level collector.
 	Rec obs.Rec
 
-	ins    *Instance
 	m, n   int
 	prob   *lp.Problem
 	vars   [][]int // vars[i][j] = LP variable of pair (i,j), -1 if forbidden
@@ -31,16 +35,12 @@ type Skeleton struct {
 	ws     *lp.Workspace
 }
 
-// buildLP validates the instance and constructs the relaxation (15)–(18):
+// NewSkeleton validates the instance and builds the relaxation (15)–(18):
 // minimize Σ c_ij y_ij subject to Σ_i y_ij = 1 per job, Σ_j p_ij y_ij ≤ T_i
-// per machine, y ≥ 0, forbidden (+Inf-load) pairs getting no variable. Both
-// the one-shot SolveLP and NewSkeleton run exactly this code, so their
-// constructions — and hence cold pivot sequences — are bit-for-bit
-// identical. capRow, when non-nil (len = machines), records each machine's
-// capacity-row index (-1 if the machine has no positive-load pair).
-func buildLP(ins *Instance, capRow []int) (*lp.Problem, [][]int, error) {
+// per machine, y ≥ 0, forbidden (+Inf-load) pairs getting no variable.
+func NewSkeleton(ins *Instance) (*Skeleton, error) {
 	if err := ins.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	m, n := ins.NumMachines(), ins.NumJobs()
 	prob := lp.NewProblem()
@@ -64,14 +64,15 @@ func buildLP(ins *Instance, capRow []int) (*lp.Problem, [][]int, error) {
 			}
 		}
 		if len(terms) == 0 {
-			return nil, nil, fmt.Errorf("gap: job %d has no allowed machine", j)
+			return nil, fmt.Errorf("gap: job %d has no allowed machine", j)
 		}
 		prob.AddConstraint(terms, lp.EQ, 1)
 	}
+	// capRow[i] is machine i's capacity row, -1 when it has no
+	// positive-load pair.
+	capRow := make([]int, m)
 	for i := 0; i < m; i++ {
-		if capRow != nil {
-			capRow[i] = -1
-		}
+		capRow[i] = -1
 		terms = terms[:0]
 		for j := 0; j < n; j++ {
 			if vars[i][j] >= 0 && ins.Load[i][j] > 0 {
@@ -79,29 +80,13 @@ func buildLP(ins *Instance, capRow []int) (*lp.Problem, [][]int, error) {
 			}
 		}
 		if len(terms) > 0 {
-			if capRow != nil {
-				capRow[i] = prob.NumConstraints()
-			}
+			capRow[i] = prob.NumConstraints()
 			prob.AddConstraint(terms, lp.LE, ins.T[i])
 		}
 	}
-	return prob, vars, nil
-}
-
-// NewSkeleton validates the instance and builds its LP model once, via the
-// same construction SolveLP runs, so that solving the skeleton is
-// bit-for-bit identical to the one-shot path.
-func NewSkeleton(ins *Instance) (*Skeleton, error) {
-	m := ins.NumMachines()
-	capRow := make([]int, m)
-	prob, vars, err := buildLP(ins, capRow)
-	if err != nil {
-		return nil, err
-	}
 	return &Skeleton{
-		ins:    ins,
 		m:      m,
-		n:      ins.NumJobs(),
+		n:      n,
 		prob:   prob,
 		vars:   vars,
 		capRow: capRow,
@@ -166,6 +151,8 @@ func (sk *Skeleton) ResetWarm() { sk.ws.ResetWarm() }
 // SolveLP solves the current relaxation, returning the fractional solution
 // y[machine][job], its objective, and whether the warm path was taken.
 func (sk *Skeleton) SolveLP() ([][]float64, float64, bool, error) {
+	sp := sk.Rec.Start("gap.lp")
+	defer sp.End()
 	sk.ws.Rec = sk.Rec
 	sol, warm, err := sk.prob.SolveHot(sk.ws)
 	if err != nil {

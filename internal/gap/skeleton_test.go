@@ -29,7 +29,9 @@ func randomInstance(rng *rand.Rand, m, n int) *Instance {
 }
 
 // TestSkeletonMatchesSolveLPBitwise pins that a fresh skeleton's first
-// solve is bit-for-bit the legacy SolveLP path.
+// solve (lp.SolveHot with no retained basis) is bit-for-bit the pooled
+// one-shot lp.Problem.Solve of the same relaxation, so the one GAP LP entry
+// costs one-shot callers no pivots or bits.
 func TestSkeletonMatchesSolveLPBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 10; trial++ {
@@ -37,9 +39,23 @@ func TestSkeletonMatchesSolveLPBitwise(t *testing.T) {
 		if trial%2 == 1 {
 			ins.Load[0][0] = math.Inf(1) // exercise the forbidden-pair pattern
 		}
-		yA, objA, err := SolveLP(ins)
+		ref, err := NewSkeleton(ins)
 		if err != nil {
-			t.Fatalf("trial %d: SolveLP: %v", trial, err)
+			t.Fatalf("trial %d: NewSkeleton: %v", trial, err)
+		}
+		sol, err := ref.prob.Solve()
+		if err != nil {
+			t.Fatalf("trial %d: lp Solve: %v", trial, err)
+		}
+		objA := sol.Objective
+		yA := make([][]float64, len(ins.T))
+		for i := range yA {
+			yA[i] = make([]float64, ins.NumJobs())
+			for j, v := range ref.vars[i] {
+				if v >= 0 {
+					yA[i][j] = sol.X[v]
+				}
+			}
 		}
 		sk, err := NewSkeleton(ins)
 		if err != nil {
@@ -47,7 +63,7 @@ func TestSkeletonMatchesSolveLPBitwise(t *testing.T) {
 		}
 		yB, objB, warm, err := sk.SolveLP()
 		if err != nil {
-			t.Fatalf("trial %d: skeleton SolveLP: %v", trial, err)
+			t.Fatalf("trial %d: SolveLP: %v", trial, err)
 		}
 		if warm {
 			t.Fatalf("trial %d: first skeleton solve claimed warm", trial)
@@ -66,7 +82,7 @@ func TestSkeletonMatchesSolveLPBitwise(t *testing.T) {
 }
 
 // TestSkeletonWarmResolve drives cost and capacity edits through one
-// skeleton, comparing every solve against a from-scratch SolveLP.
+// skeleton, comparing every solve against a from-scratch skeleton.
 func TestSkeletonWarmResolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	ins := randomInstance(rng, 4, 10)
@@ -104,7 +120,7 @@ func TestSkeletonWarmResolve(t *testing.T) {
 			warmCount++
 		}
 		ref := &Instance{Cost: cost, Load: ins.Load, T: caps}
-		yRef, objRef, err := SolveLP(ref)
+		yRef, objRef, err := solveLP(ref)
 		if err != nil {
 			t.Fatalf("iter %d: reference: %v", iter, err)
 		}

@@ -21,9 +21,8 @@
 // identical to a single-stream sketch (int64 addition is associative and
 // commutative). Derived floating-point views (Rates, Drift) are computed
 // at read time by folding epochs in ascending index order, so equal state
-// implies bitwise-equal reads. The only approximate component is the
-// optional sub-capacity heavy-hitter sketch (see TopK); with the default
-// exact configuration every view is exact.
+// implies bitwise-equal reads. Every view is exact: the heavy-hitter
+// summaries (TopClients, TopNodes) rank the dense cumulative totals.
 package heat
 
 import (
@@ -42,12 +41,6 @@ type Options struct {
 	// HalfLife is the EWMA half-life in epochs: an epoch's weight halves
 	// every HalfLife epochs of virtual time. ≤ 0 means the default of 8.
 	HalfLife float64
-	// TopK bounds the heavy-hitter summaries. 0 (the default) keeps exact
-	// dense per-key counts — the right choice while keys are network node
-	// indices, as in netsim. A positive value switches to a space-saving
-	// sketch of that capacity for unbounded key spaces (client IDs in a
-	// real deployment); see TopK for its error and merge guarantees.
-	TopK int
 }
 
 const (
@@ -67,7 +60,6 @@ type epochCell struct {
 type Sketch struct {
 	epochLen float64
 	halfLife float64
-	topK     int
 
 	mu           sync.Mutex
 	epochs       map[int64]*epochCell
@@ -77,10 +69,6 @@ type Sketch struct {
 	messages     int64
 	clientTotals []int64
 	nodeTotals   []int64
-	// Streaming heavy hitters, only in the sub-capacity (TopK > 0) regime;
-	// the exact regime derives Top* views from the dense totals instead.
-	hotClients *TopK
-	hotNodes   *TopK
 }
 
 // New returns an empty sketch. Client and node index spaces grow on
@@ -93,18 +81,12 @@ func New(o Options) *Sketch {
 	if o.HalfLife <= 0 {
 		o.HalfLife = defaultHalfLife
 	}
-	s := &Sketch{
+	return &Sketch{
 		epochLen: o.EpochLen,
 		halfLife: o.HalfLife,
-		topK:     o.TopK,
 		epochs:   make(map[int64]*epochCell),
 		lastIdx:  math.MinInt64,
 	}
-	if o.TopK > 0 {
-		s.hotClients = NewTopK(o.TopK)
-		s.hotNodes = NewTopK(o.TopK)
-	}
-	return s
 }
 
 // grow extends a counter slice to cover index i.
@@ -140,9 +122,6 @@ func (s *Sketch) Observe(at float64, client int, nodes []int) {
 	s.clientTotals = grow(s.clientTotals, client)
 	s.clientTotals[client]++
 	s.accesses++
-	if s.hotClients != nil {
-		s.hotClients.Add(client, 1)
-	}
 	for _, v := range nodes {
 		if v < 0 {
 			continue
@@ -152,9 +131,6 @@ func (s *Sketch) Observe(at float64, client int, nodes []int) {
 		s.nodeTotals = grow(s.nodeTotals, v)
 		s.nodeTotals[v]++
 		s.messages++
-		if s.hotNodes != nil {
-			s.hotNodes.Add(v, 1)
-		}
 	}
 	s.mu.Unlock()
 }
@@ -262,7 +238,15 @@ func (s *Sketch) NodeRates() []float64 {
 	return s.ewma(func(c *epochCell) []int64 { return c.nodes })
 }
 
-// topFromTotals builds the exact heavy-hitter view from dense totals.
+// TopEntry is one heavy hitter: a client or node index and its exact
+// cumulative count.
+type TopEntry struct {
+	Key   int
+	Count int64
+}
+
+// topFromTotals ranks the nonzero dense totals by count descending, index
+// ascending as tie-break, keeping the first k (all when k ≤ 0).
 func topFromTotals(totals []int64, k int) []TopEntry {
 	entries := make([]TopEntry, 0, len(totals))
 	for key, c := range totals {
@@ -270,7 +254,12 @@ func topFromTotals(totals []int64, k int) []TopEntry {
 			entries = append(entries, TopEntry{Key: key, Count: c})
 		}
 	}
-	sortTopEntries(entries)
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].Count != entries[j].Count {
+			return entries[i].Count > entries[j].Count
+		}
+		return entries[i].Key < entries[j].Key
+	})
 	if k > 0 && len(entries) > k {
 		entries = entries[:k]
 	}
@@ -279,13 +268,9 @@ func topFromTotals(totals []int64, k int) []TopEntry {
 
 // TopClients returns the k heaviest clients by access count (all when
 // k ≤ 0), ordered by count descending with index ascending as tie-break.
-// Exact in the default configuration; within the TopK guarantees otherwise.
 func (s *Sketch) TopClients(k int) []TopEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hotClients != nil {
-		return s.hotClients.Top(k)
-	}
 	return topFromTotals(s.clientTotals, k)
 }
 
@@ -293,18 +278,13 @@ func (s *Sketch) TopClients(k int) []TopEntry {
 func (s *Sketch) TopNodes(k int) []TopEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.hotNodes != nil {
-		return s.hotNodes.Top(k)
-	}
 	return topFromTotals(s.nodeTotals, k)
 }
 
-// Merge folds o into s. Both sketches must share EpochLen, HalfLife and
-// TopK configuration; their index spaces may differ (the merged sketch
-// covers the union). Merging shards of a partitioned stream yields state
-// bitwise identical to observing the whole stream in one sketch, in any
-// merge order, except for the sub-capacity TopK regime whose guarantees
-// are documented on TopK.Merge.
+// Merge folds o into s. Both sketches must share EpochLen and HalfLife;
+// their index spaces may differ (the merged sketch covers the union).
+// Merging shards of a partitioned stream yields state bitwise identical to
+// observing the whole stream in one sketch, in any merge order.
 func (s *Sketch) Merge(o *Sketch) error {
 	return s.MergeShifted(o, 0)
 }
@@ -317,15 +297,15 @@ func (s *Sketch) EpochLen() float64 { return s.epochLen }
 // Ingesting sketches produced by simulation runs that each start at
 // virtual time zero (netsim) into a long-lived daemon sketch needs the
 // offset, or every run's epochs would collapse onto the same indices.
-// Totals and heavy-hitter summaries are time-free and merge unchanged, so
-// with shift = 0 the result is bitwise identical to Merge.
+// Totals are time-free and merge unchanged, so with shift = 0 the result
+// is bitwise identical to Merge.
 func (s *Sketch) MergeShifted(o *Sketch, shift int64) error {
 	if s == o {
 		return fmt.Errorf("heat: cannot merge a sketch into itself")
 	}
-	if s.epochLen != o.epochLen || s.halfLife != o.halfLife || s.topK != o.topK {
-		return fmt.Errorf("heat: merging incompatible sketches (epoch %v/%v, half-life %v/%v, topk %d/%d)",
-			s.epochLen, o.epochLen, s.halfLife, o.halfLife, s.topK, o.topK)
+	if s.epochLen != o.epochLen || s.halfLife != o.halfLife {
+		return fmt.Errorf("heat: merging incompatible sketches (epoch %v/%v, half-life %v/%v)",
+			s.epochLen, o.epochLen, s.halfLife, o.halfLife)
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -345,14 +325,6 @@ func (s *Sketch) MergeShifted(o *Sketch, shift int64) error {
 	s.nodeTotals = addCounts(s.nodeTotals, o.nodeTotals)
 	s.accesses += o.accesses
 	s.messages += o.messages
-	if s.hotClients != nil {
-		if err := s.hotClients.Merge(o.hotClients); err != nil {
-			return err
-		}
-		if err := s.hotNodes.Merge(o.hotNodes); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -377,7 +349,7 @@ func (s *Sketch) MaxEpoch() (int64, bool) {
 // the merge contract above makes the result bitwise identical to
 // single-stream observation.
 func (s *Sketch) NewShard() *Sketch {
-	return New(Options{EpochLen: s.epochLen, HalfLife: s.halfLife, TopK: s.topK})
+	return New(Options{EpochLen: s.epochLen, HalfLife: s.halfLife})
 }
 
 func addCounts(dst, src []int64) []int64 {
@@ -389,11 +361,11 @@ func addCounts(dst, src []int64) []int64 {
 }
 
 // Equal reports whether two sketches hold identical state: same
-// configuration, same exact counts in every epoch, and identical
-// heavy-hitter summaries. Zero-padded tails of the index spaces are
-// ignored, so a sketch that merely grew further compares equal.
+// configuration and same exact counts in every epoch and in the totals.
+// Zero-padded tails of the index spaces are ignored, so a sketch that
+// merely grew further compares equal.
 func (s *Sketch) Equal(o *Sketch) bool {
-	if s.epochLen != o.epochLen || s.halfLife != o.halfLife || s.topK != o.topK {
+	if s.epochLen != o.epochLen || s.halfLife != o.halfLife {
 		return false
 	}
 	o.mu.Lock()
@@ -412,11 +384,6 @@ func (s *Sketch) Equal(o *Sketch) bool {
 	for e, c := range s.epochs {
 		oc := o.epochs[e]
 		if oc == nil || !countsEqual(c.clients, oc.clients) || !countsEqual(c.nodes, oc.nodes) {
-			return false
-		}
-	}
-	if s.hotClients != nil {
-		if !s.hotClients.Equal(o.hotClients) || !s.hotNodes.Equal(o.hotNodes) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package heat
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -61,7 +62,7 @@ func TestSketchCounts(t *testing.T) {
 	}
 	// Repeated node entries count once per message, like netsim NodeHits.
 	top := s.TopNodes(1)
-	if len(top) != 1 || top[0].Key != 1 || top[0].Count != 3 || top[0].Err != 0 {
+	if len(top) != 1 || top[0].Key != 1 || top[0].Count != 3 {
 		t.Fatalf("top node %+v", top)
 	}
 }
@@ -126,9 +127,6 @@ func TestMergeRejectsIncompatible(t *testing.T) {
 	}
 	if err := a.Merge(New(Options{HalfLife: 3})); err == nil {
 		t.Fatal("merged mismatched half-lives")
-	}
-	if err := a.Merge(New(Options{TopK: 4})); err == nil {
-		t.Fatal("merged mismatched topk capacities")
 	}
 	if err := a.Merge(a); err == nil {
 		t.Fatal("merged a sketch into itself")
@@ -196,22 +194,18 @@ func TestSketchConcurrentObserve(t *testing.T) {
 	}
 }
 
-func TestSubCapacityRegimeMergeGuarantee(t *testing.T) {
-	// With TopK smaller than the key space the summary is approximate;
-	// the count−err ≤ true ≤ count guarantee must survive sharded merge.
-	stream := synthStream(11, 40, 8000)
-	truth := make(map[int]int64)
-	parts := []*Sketch{New(Options{TopK: 8}), New(Options{TopK: 8})}
-	for i, a := range stream {
-		truth[a.client]++
-		parts[i%2].Observe(a.at, a.client, a.nodes)
+// TestTopKExactRegime pins the heavy-hitter views: exact cumulative
+// counts, count descending, ties toward the smaller index, k ≤ 0 = all.
+func TestTopKExactRegime(t *testing.T) {
+	s := New(Options{})
+	for i := 0; i < 10; i++ {
+		s.Observe(float64(i), i%3, []int{i % 3})
 	}
-	if err := parts[0].Merge(parts[1]); err != nil {
-		t.Fatal(err)
+	want := []TopEntry{{Key: 0, Count: 4}, {Key: 1, Count: 3}, {Key: 2, Count: 3}}
+	if top := s.TopClients(0); !reflect.DeepEqual(top, want) {
+		t.Fatalf("top clients %v, want %v", top, want)
 	}
-	for _, e := range parts[0].TopClients(0) {
-		if tc := truth[e.Key]; e.Count < tc || e.Count-e.Err > tc {
-			t.Fatalf("client %d: count %d err %d vs true %d", e.Key, e.Count, e.Err, tc)
-		}
+	if top := s.TopNodes(2); !reflect.DeepEqual(top, want[:2]) {
+		t.Fatalf("top nodes %v, want %v", top, want[:2])
 	}
 }

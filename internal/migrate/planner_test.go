@@ -42,6 +42,47 @@ func TestPlannerMatchesSolveBitwise(t *testing.T) {
 	}
 }
 
+// TestPlannerLambdaZeroIsTotalDelayBitwise pins that the migration planner
+// and placement.SolveTotalDelay solve one model through one LP entry: at
+// λ = 0 a full-universe planner's cold Plan is bit for bit the Theorem 5.1
+// result (placement, delay and LP bound), with uniform and with weighted
+// rates that include a zero-rate client.
+func TestPlannerLambdaZeroIsTotalDelayBitwise(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		ci := check.Gen(seed)
+		n := ci.M.N()
+		rng := rand.New(rand.NewSource(seed))
+		weighted := make([]float64, n)
+		for v := range weighted {
+			weighted[v] = 0.25 + 2*rng.Float64()
+		}
+		weighted[rng.Intn(n)] = 0
+		for _, rates := range [][]float64{nil, weighted} {
+			if err := ci.SetRates(rates); err != nil {
+				t.Fatal(err)
+			}
+			td, err := placement.SolveTotalDelay(ci.Instance)
+			if err != nil {
+				t.Fatalf("seed %d: SolveTotalDelay: %v", seed, err)
+			}
+			pl, err := NewPlanner(ci.Instance, nil)
+			if err != nil {
+				t.Fatalf("seed %d: NewPlanner: %v", seed, err)
+			}
+			plan, _, err := pl.Plan(ci.Planted, 0)
+			if err != nil {
+				t.Fatalf("seed %d: Plan: %v", seed, err)
+			}
+			if !reflect.DeepEqual(plan.Placement, td.Placement) ||
+				math.Float64bits(plan.AvgDelay) != math.Float64bits(td.AvgDelay) ||
+				math.Float64bits(plan.LPBound) != math.Float64bits(td.LPBound) {
+				t.Fatalf("seed %d weighted=%v: λ=0 plan %+v differs from SolveTotalDelay %+v",
+					seed, rates != nil, plan, td)
+			}
+		}
+	}
+}
+
 // TestPlannerWarmRepeated re-plans with drifting rates through one planner
 // and checks each warm result against a fresh package-level Solve: equal
 // LP bound (the combined-objective lower bound is vertex-independent) and

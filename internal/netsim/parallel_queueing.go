@@ -210,9 +210,17 @@ func (w *queueWorker) seed() {
 		if len(states) == 0 {
 			continue
 		}
+		// A client apportioned k ≠ AccessesPerClient accesses by Rates
+		// issues them at ArrivalRate·k/AccessesPerClient, so its share of
+		// the load keeps the run's length; equal shares keep ArrivalRate
+		// itself, and with it the unweighted run's bits.
+		rate := cfg.ArrivalRate
+		if len(states) != cfg.AccessesPerClient {
+			rate = cfg.ArrivalRate * float64(len(states)) / float64(cfg.AccessesPerClient)
+		}
 		t := 0.0
 		for a := range states {
-			t += st.ExpFloat64() / cfg.ArrivalRate
+			t += st.ExpFloat64() / rate
 			states[a].issuedAt = t
 		}
 		w.h.push(pqEvent{at: states[0].issuedAt, kind: 0, client: v, access: 0})

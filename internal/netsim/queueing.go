@@ -29,7 +29,11 @@ type QueueConfig struct {
 	Instance  *placement.Instance
 	Placement placement.Placement
 	// ArrivalRate is each client's Poisson access rate (accesses per time
-	// unit, open loop).
+	// unit, open loop) when rates are uniform. Under Instance.Rates a
+	// client apportioned k accesses issues at
+	// ArrivalRate·k/AccessesPerClient, so a weighted run offers the same
+	// total load over the same span as the unweighted one, concentrated on
+	// the heavy clients.
 	ArrivalRate float64
 	// ServiceMean is the mean (exponential) service time per quorum-element
 	// message at a capacity-1 node; node v serves with mean
@@ -39,7 +43,7 @@ type QueueConfig struct {
 	// AccessesPerClient is the number of accesses each client issues; as
 	// in Run, setting Instance.Rates gives each client its
 	// rate-proportional share of the n·AccessesPerClient total instead
-	// (zero-rate clients issue none), each at ArrivalRate.
+	// (zero-rate clients issue none), at the scaled rate above.
 	AccessesPerClient int
 	Seed              int64
 	// Recorder, when non-nil, captures per-access traces (with queue-wait

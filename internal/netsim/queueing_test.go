@@ -234,6 +234,42 @@ func TestQueueingHonoursRates(t *testing.T) {
 	}
 }
 
+// TestQueueingWeightedRatesRaiseLoad is the regression test for weighted
+// clients issuing their apportioned accesses at the unweighted per-client
+// rate: with all rate on one client, that client's n·AccessesPerClient
+// accesses spread over n times the run length, so the weighted run was
+// slower and emptier than the uniform one (Clock 35.2 → 159.5, AvgWait
+// 0.176 → 0.0115). Scaled by its share, the hot client offers the same
+// total load over the same span, concentrated on its quorums.
+func TestQueueingWeightedRatesRaiseLoad(t *testing.T) {
+	ins, p := buildInstance(t)
+	defer func() { ins.Rates = nil }()
+	run := func() *QueueStats {
+		stats, err := RunQueueing(QueueConfig{
+			Instance: ins, Placement: p,
+			ArrivalRate: 0.5, ServiceMean: 0.2,
+			AccessesPerClient: 10, Seed: 5,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats
+	}
+	uniform := run()
+	rates := make([]float64, ins.M.N())
+	rates[4] = 1
+	if err := ins.SetRates(rates); err != nil {
+		t.Fatal(err)
+	}
+	weighted := run()
+	if weighted.Clock > 1.5*uniform.Clock {
+		t.Fatalf("weighted run lasts %v, more than 1.5× the uniform %v", weighted.Clock, uniform.Clock)
+	}
+	if weighted.AvgWait < uniform.AvgWait {
+		t.Fatalf("weighted mean wait %v below the uniform %v", weighted.AvgWait, uniform.AvgWait)
+	}
+}
+
 // TestQueueingUniformRatesMatchNil: explicit uniform rates apportion the
 // same count to every client, so the run reproduces the unweighted one
 // bit for bit.

@@ -274,9 +274,24 @@ func (ins *Instance) AvgTotalDelay(p Placement) float64 {
 }
 
 // AvgDistToNode returns the rate-weighted Avg_{v∈V} d(v, v0) term of the
-// relay decomposition (Eq. 8).
+// relay decomposition (Eq. 8). It is avgOverClients over d(·, v0) written
+// as a straight loop (same fold order, same bits): the total-delay GAP
+// costs call it once per node on every daemon re-plan.
 func (ins *Instance) AvgDistToNode(v0 int) float64 {
-	return ins.avgOverClients(func(v int) float64 { return ins.M.D(v, v0) })
+	n := ins.M.N()
+	if ins.Rates == nil {
+		sum := 0.0
+		for v := 0; v < n; v++ {
+			sum += ins.M.D(v, v0)
+		}
+		return sum / float64(n)
+	}
+	sum, wsum := 0.0, 0.0
+	for v := 0; v < n; v++ {
+		sum += ins.Rates[v] * ins.M.D(v, v0)
+		wsum += ins.Rates[v]
+	}
+	return sum / wsum
 }
 
 // RelayDelay returns the average delay of the "relay-via-v0" strategy of

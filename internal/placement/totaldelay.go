@@ -30,15 +30,21 @@ type TotalDelayResult struct {
 	LPBound   float64 // GAP LP optimum ≤ optimal capacity-respecting delay
 }
 
-// SolveTotalDelay runs the Theorem 5.1 algorithm.
-func SolveTotalDelay(ins *Instance) (*TotalDelayResult, error) {
-	sp := obs.Start("placement.totaldelay")
-	defer sp.End()
+// TotalDelayGAP builds the Theorem 5.1 GAP over the given universe elements
+// (nil means the whole universe, in order): machine v is node v with
+// capacity cap(v), job i is element elems[i] with size load(elems[i]),
+// pairs whose load exceeds the node's capacity are forbidden, and the cost
+// of placing elems[i] on v is load·AvgDistToNode(v) under the current
+// Rates. Elements must be distinct and inside the universe. This is the one
+// construction of the model: SolveTotalDelay solves it as is, and the
+// migration planner (internal/migrate) re-costs it with a movement term.
+func (ins *Instance) TotalDelayGAP(elems []int) *gap.Instance {
 	n := ins.M.N()
-	nU := ins.Sys.Universe()
-	avgDist := make([]float64, n)
-	for v := 0; v < n; v++ {
-		avgDist[v] = ins.avgOverClients(func(v2 int) float64 { return ins.M.D(v2, v) })
+	if elems == nil {
+		elems = make([]int, ins.Sys.Universe())
+		for u := range elems {
+			elems[u] = u
+		}
 	}
 	g := &gap.Instance{
 		Cost: make([][]float64, n),
@@ -46,18 +52,36 @@ func SolveTotalDelay(ins *Instance) (*TotalDelayResult, error) {
 		T:    append([]float64(nil), ins.Cap...),
 	}
 	for v := 0; v < n; v++ {
-		g.Cost[v] = make([]float64, nU)
-		g.Load[v] = make([]float64, nU)
-		for u := 0; u < nU; u++ {
-			g.Cost[v][u] = ins.loads[u] * avgDist[v]
-			if ins.loads[u] > ins.Cap[v]*(1+capTol) {
-				g.Load[v][u] = math.Inf(1)
+		avg := ins.AvgDistToNode(v)
+		g.Cost[v] = make([]float64, len(elems))
+		g.Load[v] = make([]float64, len(elems))
+		for i, u := range elems {
+			l := ins.loads[u]
+			g.Cost[v][i] = l * avg
+			if l > ins.Cap[v]*(1+capTol) {
+				g.Load[v][i] = math.Inf(1)
 			} else {
-				g.Load[v][u] = ins.loads[u]
+				g.Load[v][i] = l
 			}
 		}
 	}
-	assign, _, lpObj, err := gap.Solve(g)
+	return g
+}
+
+// SolveTotalDelay runs the Theorem 5.1 algorithm.
+func SolveTotalDelay(ins *Instance) (*TotalDelayResult, error) {
+	sp := obs.Start("placement.totaldelay")
+	defer sp.End()
+	g := ins.TotalDelayGAP(nil)
+	sk, err := gap.NewSkeleton(g)
+	if err != nil {
+		return nil, fmt.Errorf("placement: total-delay GAP: %w", err)
+	}
+	y, lpObj, _, err := sk.SolveLP()
+	if err != nil {
+		return nil, fmt.Errorf("placement: total-delay GAP: %w", err)
+	}
+	assign, _, err := gap.Round(g, y)
 	if err != nil {
 		return nil, fmt.Errorf("placement: total-delay GAP: %w", err)
 	}

@@ -440,11 +440,11 @@ func FormatSimSLOWindows(windows []SimSLOWindow) string {
 // install a process-wide default with SetDefaultHeat.
 type HeatSketch = heat.Sketch
 
-// HeatOptions configures a HeatSketch (epoch length, EWMA half-life,
-// optional space-saving heavy-hitter capacity).
+// HeatOptions configures a HeatSketch (epoch length, EWMA half-life).
 type HeatOptions = heat.Options
 
-// HeatTopEntry is one heavy hitter with its count and overestimate bound.
+// HeatTopEntry is one heavy hitter: a client or node index and its exact
+// cumulative count.
 type HeatTopEntry = heat.TopEntry
 
 // HeatDriftReport is the total-variation drift of a live demand estimate
@@ -514,10 +514,11 @@ func MigrationParetoSweep(ins *Instance, oldP Placement, lambdas []float64) ([]*
 }
 
 // MigrationPlanner pre-builds the migration LP for a fixed element subset
-// and retains the previous solve's simplex basis, so a repeated re-plan
-// (new demand, λ, or capacities over the same structure) warm-starts
-// instead of solving from scratch. The first solve is bitwise identical to
-// PlanMigration.
+// (the Theorem 5.1 total-delay GAP, re-costed with the movement term on
+// every solve) and retains the previous solve's simplex basis, so a
+// repeated re-plan (new demand, λ, or capacities over the same structure)
+// warm-starts instead of solving from scratch. PlanMigration is a fresh
+// full-universe planner's first solve.
 type MigrationPlanner = migrate.Planner
 
 // MigrationShardPlan is the outcome of one MigrationPlanner solve over its
